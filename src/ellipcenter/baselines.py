@@ -5,6 +5,9 @@ Barzilai-Borwein (long or short steps, first step by Wolfe search),
 Nesterov-style fast gradient, and gradient descent with Wolfe search.
 All of them count iterations as the number of x-updates, check convergence
 before each update, and fix the gradient threshold from the initial iterate.
+Gradient descent and conjugate gradient carry the gradient by recurrence, one
+matvec a step, and replace it with the true gradient as ``me_solve`` does:
+every ``_REFRESH_STEPS`` steps and before the solve reports its termination.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import numpy as np
 
 from .quadratic import QuadraticProblem, _as_vector
 from .solver import (
+    _REFRESH_STEPS,
     SolveOptions,
     SolverResult,
     StepRecord,
     Termination,
+    _value_from_gradient,
 )
 
 __all__ = [
@@ -130,11 +135,18 @@ def _check_finite(grad_norm: float, method: str) -> None:
         raise RuntimeError(f"{method}: gradient norm became {grad_norm}; aborting")
 
 
-def _result(problem, x, iterations, grad_norm, terminated, start, trace):
+def _termination(grad_norm, threshold):
+    if grad_norm <= threshold:
+        return Termination.GRADIENT_TOLERANCE
+    return Termination.MAX_ITERATIONS
+
+
+def _result(problem, x, g, iterations, grad_norm, terminated, start, trace):
+    """The result at ``x``, whose true gradient ``g`` is in hand."""
     return SolverResult(
         x_final=x,
         iterations=iterations,
-        f_final=problem.value(x),
+        f_final=_value_from_gradient(problem, x, g),
         grad_norm_final=grad_norm,
         wall_time_seconds=time.perf_counter() - start,
         terminated_by=terminated,
@@ -145,31 +157,47 @@ def _result(problem, x, iterations, grad_norm, terminated, start, trace):
 def gradient_optimal_step_solve(
     problem: QuadraticProblem, x1, options: SolveOptions = SolveOptions()
 ) -> SolverResult:
-    """Gradient descent with the exact line-search step t = ||r||^2 / (r^T A r)."""
+    """Gradient descent with the exact line-search step t = ||r||^2 / (r^T A r).
+
+    The gradient is carried as r <- r - t A r, one matvec a step.
+    """
     x = _as_vector(x1, problem.dim, name="x1")
     r = problem.gradient(x)
     grad_norm = float(np.linalg.norm(r))
     threshold = options.gradient_threshold(grad_norm)
     trace = [] if options.record_trace else None
     iterations = 0
+    since_refresh = 0  # steps since r was last the true gradient
     start = time.perf_counter()
-    while grad_norm > threshold and iterations < options.max_iterations:
+    while iterations < options.max_iterations:
+        if grad_norm <= threshold:
+            if since_refresh == 0:
+                break
+            r = problem.gradient(x)
+            grad_norm = float(np.linalg.norm(r))
+            since_refresh = 0
+            continue
         _check_finite(grad_norm, "gradient_optimal_step")
         if trace is not None:
-            trace.append(StepRecord(problem.value(x), grad_norm, x))
-        t = (r @ r) / (r @ problem.A.matvec(r))
+            trace.append(StepRecord(_value_from_gradient(problem, x, r), grad_norm, x))
+        ar = problem.A.matvec(r)
+        t = (r @ r) / (r @ ar)
         if not np.isfinite(t):
             raise RuntimeError(f"gradient_optimal_step: non-finite step {t!r}")
         x = x - t * r
-        r = problem.gradient(x)
+        since_refresh += 1
+        if since_refresh < _REFRESH_STEPS:
+            r = r - t * ar
+        else:
+            r = problem.gradient(x)
+            since_refresh = 0
         grad_norm = float(np.linalg.norm(r))
         iterations += 1
-    terminated = (
-        Termination.GRADIENT_TOLERANCE
-        if grad_norm <= threshold
-        else Termination.MAX_ITERATIONS
-    )
-    return _result(problem, x, iterations, grad_norm, terminated, start, trace)
+    if since_refresh:
+        r = problem.gradient(x)
+        grad_norm = float(np.linalg.norm(r))
+    terminated = _termination(grad_norm, threshold)
+    return _result(problem, x, r, iterations, grad_norm, terminated, start, trace)
 
 
 def cg_solve(
@@ -180,6 +208,7 @@ def cg_solve(
     theta makes successive directions conjugate with respect to A; the step
     is t_k = -<d_k, g_k> / <d_k, A d_k>.  Exact arithmetic terminates within
     n iterations, so the loop is capped at n plus a small rounding slack.
+    The gradient is carried as g <- g + t A d, one matvec a step.
     """
     x = _as_vector(x1, problem.dim, name="x1")
     g = problem.gradient(x)
@@ -188,13 +217,21 @@ def cg_solve(
     cap = min(options.max_iterations, problem.dim + _CG_EXTRA_ITERATIONS)
     trace = [] if options.record_trace else None
     iterations = 0
+    since_refresh = 0  # steps since g was last the true gradient
     d = None
     ad = None
     start = time.perf_counter()
-    while grad_norm > threshold and iterations < cap:
+    while iterations < cap:
+        if grad_norm <= threshold:
+            if since_refresh == 0:
+                break
+            g = problem.gradient(x)
+            grad_norm = float(np.linalg.norm(g))
+            since_refresh = 0
+            continue
         _check_finite(grad_norm, "cg")
         if trace is not None:
-            trace.append(StepRecord(problem.value(x), grad_norm, x))
+            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
         if d is None:
             d = g
         else:
@@ -209,15 +246,19 @@ def cg_solve(
             )
         t = -(d @ g) / dad
         x = x + t * d
-        g = problem.gradient(x)
+        since_refresh += 1
+        if since_refresh < _REFRESH_STEPS:
+            g = g + t * ad
+        else:
+            g = problem.gradient(x)
+            since_refresh = 0
         grad_norm = float(np.linalg.norm(g))
         iterations += 1
-    terminated = (
-        Termination.GRADIENT_TOLERANCE
-        if grad_norm <= threshold
-        else Termination.MAX_ITERATIONS
-    )
-    return _result(problem, x, iterations, grad_norm, terminated, start, trace)
+    if since_refresh:
+        g = problem.gradient(x)
+        grad_norm = float(np.linalg.norm(g))
+    terminated = _termination(grad_norm, threshold)
+    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)
 
 
 def bb_solve(
@@ -248,7 +289,7 @@ def bb_solve(
     while grad_norm > threshold and iterations < options.max_iterations:
         _check_finite(grad_norm, "bb")
         if trace is not None:
-            trace.append(StepRecord(problem.value(x), grad_norm, x))
+            trace.append(StepRecord(_value_from_gradient(problem, x, -d), grad_norm, x))
         if iterations == 0:
             t = wolfe_search(oracle, x, d, wolfe)
         else:
@@ -261,12 +302,8 @@ def bb_solve(
         d = problem.b - problem.A.matvec(x)
         grad_norm = float(np.linalg.norm(d))
         iterations += 1
-    terminated = (
-        Termination.GRADIENT_TOLERANCE
-        if grad_norm <= threshold
-        else Termination.MAX_ITERATIONS
-    )
-    return _result(problem, x, iterations, grad_norm, terminated, start, trace)
+    terminated = _termination(grad_norm, threshold)
+    return _result(problem, x, -d, iterations, grad_norm, terminated, start, trace)
 
 
 def fast_gradient_solve(
@@ -292,7 +329,7 @@ def fast_gradient_solve(
     while grad_norm > threshold and iterations < options.max_iterations:
         _check_finite(grad_norm, "fast_gradient")
         if trace is not None:
-            trace.append(StepRecord(problem.value(x), grad_norm, x))
+            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
         a = (1.0 + math.sqrt(1.0 + 4.0 * L * C)) / (2.0 * L)
         C_next = C + a
         x_tilde = (C * y + a * x) / C_next
@@ -303,12 +340,8 @@ def fast_gradient_solve(
         g = problem.gradient(x)
         grad_norm = float(np.linalg.norm(g))
         iterations += 1
-    terminated = (
-        Termination.GRADIENT_TOLERANCE
-        if grad_norm <= threshold
-        else Termination.MAX_ITERATIONS
-    )
-    return _result(problem, x, iterations, grad_norm, terminated, start, trace)
+    terminated = _termination(grad_norm, threshold)
+    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)
 
 
 def gradient_wolfe_solve(
@@ -329,15 +362,11 @@ def gradient_wolfe_solve(
     while grad_norm > threshold and iterations < options.max_iterations:
         _check_finite(grad_norm, "gradient_wolfe")
         if trace is not None:
-            trace.append(StepRecord(problem.value(x), grad_norm, x))
+            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
         t = wolfe_search(oracle, x, -g, wolfe)
         x = x - t * g
         g = problem.gradient(x)
         grad_norm = float(np.linalg.norm(g))
         iterations += 1
-    terminated = (
-        Termination.GRADIENT_TOLERANCE
-        if grad_norm <= threshold
-        else Termination.MAX_ITERATIONS
-    )
-    return _result(problem, x, iterations, grad_norm, terminated, start, trace)
+    terminated = _termination(grad_norm, threshold)
+    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)

@@ -90,6 +90,8 @@ class BenchRow:
     optimal_value: float
     terminated_by: str
     seed: int | None
+    # "ExceptionType: message" of a cell that raised; the reports omit it.
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def run_benchmark(cfg: BenchConfig, metadata_sink: list | None = None) -> BenchR
     Instance construction happens outside the timed region; with
     ``repetitions`` > 1 each cell is re-solved and the minimum wall time is
     reported.  A failing cell is recorded with terminated_by = "error" and
-    the harness moves on.  ``metadata_sink``, when given, receives the
+    its exception text in ``error``, and the harness moves on.  ``metadata_sink``, when given, receives the
     per-instance metadata dicts.
     """
     rows = []
@@ -170,7 +172,7 @@ def run_benchmark(cfg: BenchConfig, metadata_sink: list | None = None) -> BenchR
                 try:
                     candidate = _solver_call(method, problem, x1, options, cfg.wolfe)
                 except Exception as exc:  # record the cell, keep the grid going
-                    error = exc
+                    error = f"{type(exc).__name__}: {exc}"
                     break
                 if best_time is None or candidate.wall_time_seconds < best_time:
                     best_time = candidate.wall_time_seconds
@@ -186,6 +188,7 @@ def run_benchmark(cfg: BenchConfig, metadata_sink: list | None = None) -> BenchR
                         optimal_value=float("nan"),
                         terminated_by="error",
                         seed=meta["seed"],
+                        error=error,
                     )
                 )
                 continue

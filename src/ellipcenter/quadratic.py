@@ -213,8 +213,14 @@ class QuadraticProblem:
 
     def __post_init__(self):
         b = _as_vector(self.b, self.A.dim, name="b")
+        bad = np.flatnonzero(~np.isfinite(b))
+        if bad.size:
+            raise ValueError(f"b must be finite, entry {bad[0]} is {float(b[bad[0]])!r}")
+        c = float(self.c)
+        if not np.isfinite(c):
+            raise ValueError(f"c must be finite, got {c!r}")
         object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,7 @@ the same problem are safe.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -93,7 +94,9 @@ class IterationRecord:
     """Artifacts of one ellipse-center step starting at ``x``.
 
     ``f_value`` and ``grad_norm`` describe the starting iterate; ``x_next``
-    is the produced iterate (equal to ``x`` on the CONVERGED branch).  The
+    is the produced iterate (equal to ``x`` on the CONVERGED branch) and
+    ``g_next`` the gradient there, carried by recurrence from ``g_x``.  The
+    level point ``y`` is not stored; the property recomputes x - t g_x.  The
     ellipse coefficients ``delta``, ``alpha``, ``beta`` are present only on
     the ELLIPSE_CENTER branch.
     """
@@ -105,11 +108,18 @@ class IterationRecord:
     branch: Branch
     x_next: np.ndarray
     t: float | None = None
-    y: np.ndarray | None = None
     g_y: np.ndarray | None = None
+    g_next: np.ndarray | None = None
     delta: float | None = None
     alpha: float | None = None
     beta: float | None = None
+
+    @property
+    def y(self) -> np.ndarray | None:
+        """The point x - t g_x on the level set of x (None without a step)."""
+        if self.t is None:
+            return None
+        return self.x - self.t * self.g_x
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,59 @@ class SolverResult:
     trace: list | None = None
 
 
+# me_solve, gradient_optimal_step_solve and cg_solve carry the gradient by
+# recurrence and replace it with the true gradient A x - b after this many
+# steps (residual replacement, van der Vorst & Ye 2000).  Without it the
+# recurred gradient drifts from the true one, and on ill-conditioned
+# diagonals its entries for large eigenvalues decay into subnormals, which
+# slow every later multiply.  Measured for the center method on the diag
+# family, epsilon 1e-8 relative, as the worst relative drift
+# ||g - (A x - b)|| / ||A x - b|| and the most subnormal entries of g:
+#   n = 10^4, seeds 1-3, 50 steps:  <= 2.9e-8, none
+#   n = 10^4, seed 1, 200 steps:    4.1e-8, 15 subnormal
+#   n = 500, seed 1, 50 steps:      2.6e-8, none
+#   n = 500, seed 1, no refresh:    4.2e-7, 251 subnormal (the first by step 170)
+# The drift floor of about 2e-8 is the rounding of A x - b itself near the
+# stopping point.  50 steps keeps the drift below 1e-7 and g free of
+# subnormals for one extra matvec per 50 steps.
+_REFRESH_STEPS = 50
+
+
+def _value_from_gradient(problem: QuadraticProblem, x, g) -> float:
+    # f(x) = 1/2 x^T g - 1/2 b^T x + c from a gradient g = A x - b in hand.
+    return 0.5 * float(x @ g - problem.b @ x) + problem.c
+
+
+def _level_length(gg: float, m11: float) -> float:
+    # t = 2 ||g||^2 / (g^T A g), the step to the other point of the level set.
+    if not np.isfinite(m11) or m11 <= 0.0:
+        raise ValueError(
+            f"gradient energy norm is {m11!r}; operator is not positive definite "
+            "or the iterate overflowed"
+        )
+    t = 2.0 * gg / m11
+    if not np.isfinite(t) or t <= 0.0:
+        raise ValueError(f"level step t={t!r} is not a positive finite number")
+    return t
+
+
+def _gram_delta(m11: float, m12: float, m22: float, dependence_tolerance: float):
+    # Gram determinant of (g_x, g_y) in the energy product, or None when the
+    # two gradients count as dependent and the midpoint branch applies.
+    delta = m11 * m22 - m12 * m12
+    return delta if delta > dependence_tolerance * m11 * m22 else None
+
+
+def _combine(base, alpha, u, beta, v, tmp):
+    # base + alpha u + beta v, rounded in that order (the same bits as the
+    # expression), with one new array; tmp is scratch of the same length.
+    out = np.multiply(u, alpha)
+    out += base
+    np.multiply(v, beta, out=tmp)
+    out += tmp
+    return out
+
+
 def level_step(problem: QuadraticProblem, x, g_x):
     """Step along -g_x to the other point of the current level set.
 
@@ -140,15 +203,7 @@ def level_step(problem: QuadraticProblem, x, g_x):
     """
     x = _as_vector(x, problem.dim)
     g_x = _as_vector(g_x, problem.dim, name="g_x")
-    gag = problem.a_inner(g_x, g_x)
-    if not np.isfinite(gag) or gag <= 0.0:
-        raise ValueError(
-            f"gradient energy norm is {gag!r}; operator is not positive definite "
-            "or the iterate overflowed"
-        )
-    t = 2.0 * float(g_x @ g_x) / gag
-    if not np.isfinite(t) or t <= 0.0:
-        raise ValueError(f"level step t={t!r} is not a positive finite number")
+    t = _level_length(float(g_x @ g_x), problem.a_inner(g_x, g_x))
     return t, x - t * g_x
 
 
@@ -193,10 +248,11 @@ def ellipse_center_coeffs(
     m11 = float(g_x @ ag_x)
     m12 = float(g_x @ ag_y)
     m22 = float(g_y @ ag_y)
-    delta = m11 * m22 - m12 * m12
-    if delta <= dependence_tolerance * m11 * m22:
+    delta = _gram_delta(m11, m12, m22, dependence_tolerance)
+    if delta is None:
         raise ValueError(
-            f"gradients are dependent (delta={delta:.3e}); the midpoint branch applies"
+            f"gradients are dependent (delta={m11 * m22 - m12 * m12:.3e}); "
+            "the midpoint branch applies"
         )
     gg = float(g_x @ g_x)
     gxgy = float(g_x @ g_y)
@@ -216,8 +272,15 @@ def me_iterate(
     x,
     options: SolveOptions = SolveOptions(),
     grad_tolerance: float | None = None,
+    g_x=None,
 ) -> IterationRecord:
     """One ellipse-center step from ``x``.
+
+    ``g_x`` is the gradient at ``x``; when omitted it is computed as A x - b.
+    The step makes two matvecs, A g_x and A g_y.  The gradient is affine in
+    x, so g_y = g_x - t A g_x, and the gradient at the produced iterate is
+    ``g_next`` = g_x + alpha A g_x + beta A g_y (g_x - (t/2) A g_x on the
+    midpoint branch).
 
     ``grad_tolerance`` is the effective stopping threshold; when omitted it
     is derived from ``options`` using the gradient at ``x`` itself, so in
@@ -226,53 +289,55 @@ def me_iterate(
     iterate.
     """
     x = _as_vector(x, problem.dim)
-    g_x = problem.gradient(x)
-    grad_norm = float(np.linalg.norm(g_x))
-    if not np.isfinite(grad_norm):
+    if g_x is None:
+        g_x = problem.gradient(x)
+    else:
+        g_x = _as_vector(g_x, problem.dim, name="g_x")
+    gg = float(g_x @ g_x)
+    grad_norm = math.sqrt(gg)
+    if not math.isfinite(grad_norm):
         raise RuntimeError(f"gradient norm is {grad_norm}; aborting")
-    # f(x) = 1/2 x^T g - 1/2 b^T x + c, reusing the gradient's matvec.
-    f_value = 0.5 * float(x @ g_x - problem.b @ x) + problem.c
+    f_value = _value_from_gradient(problem, x, g_x)
+    if not math.isfinite(f_value):
+        raise RuntimeError(f"objective value is {f_value}; the iterate is not finite")
     if grad_tolerance is None:
         grad_tolerance = options.gradient_threshold(grad_norm)
     if grad_norm <= grad_tolerance:
         return IterationRecord(
             x=x, g_x=g_x, f_value=f_value, grad_norm=grad_norm,
-            branch=Branch.CONVERGED, x_next=x,
+            branch=Branch.CONVERGED, x_next=x, g_next=g_x,
         )
 
     ag_x = problem.A.matvec(g_x)
-    gg = float(g_x @ g_x)
     m11 = float(g_x @ ag_x)
-    if not np.isfinite(m11) or m11 <= 0.0:
-        raise ValueError(
-            f"gradient energy norm is {m11!r}; operator is not positive definite "
-            "or the iterate overflowed"
-        )
-    t = 2.0 * gg / m11
-    y = x - t * g_x
-    g_y = problem.gradient(y)
+    t = _level_length(gg, m11)
+    g_y = np.multiply(ag_x, -t)  # g_x - t A g_x
+    g_y += g_x
     ag_y = problem.A.matvec(g_y)
     m12 = float(g_x @ ag_y)
     m22 = float(g_y @ ag_y)
-    delta = m11 * m22 - m12 * m12
+    delta = _gram_delta(m11, m12, m22, options.dependence_tolerance)
 
-    if delta > options.dependence_tolerance * m11 * m22:
+    if delta is not None:
         alpha, beta = _coeffs_from_gram(gg, float(g_x @ g_y), m11, m12, m22, delta)
-        x_next = x + alpha * g_x + beta * g_y
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise RuntimeError(
+                f"non-finite center coefficients (t={t}, delta={delta}, "
+                f"alpha={alpha}, beta={beta})"
+            )
+        tmp = np.empty_like(g_x)
+        x_next = _combine(x, alpha, g_x, beta, g_y, tmp)
+        g_next = _combine(g_x, alpha, ag_x, beta, ag_y, tmp)
         branch = Branch.ELLIPSE_CENTER
     else:
-        x_next = 0.5 * (x + y)
+        x_next = x - (0.5 * t) * g_x
+        g_next = g_x - (0.5 * t) * ag_x
         branch = Branch.MIDPOINT
-        delta = alpha = beta = None
-
-    if not np.all(np.isfinite(x_next)):
-        raise RuntimeError(
-            f"non-finite iterate produced (branch={branch.value}, t={t}, "
-            f"delta={delta}, alpha={alpha}, beta={beta})"
-        )
+        alpha = beta = None
     return IterationRecord(
         x=x, g_x=g_x, f_value=f_value, grad_norm=grad_norm, branch=branch,
-        x_next=x_next, t=t, y=y, g_y=g_y, delta=delta, alpha=alpha, beta=beta,
+        x_next=x_next, t=t, g_y=g_y, g_next=g_next, delta=delta, alpha=alpha,
+        beta=beta,
     )
 
 
@@ -285,33 +350,48 @@ def me_solve(
 
     The gradient threshold is fixed from the initial iterate, the convergence
     check runs before each update, and ``iterations`` counts updates actually
-    performed.
+    performed.  Each step hands its ``g_next`` to the next one; the true
+    gradient replaces it every ``_REFRESH_STEPS`` steps, and the solve stops
+    only on a true gradient, so ``terminated_by``, ``f_final`` and
+    ``grad_norm_final`` describe the returned iterate.
     """
     x = _as_vector(x1, problem.dim, name="x1")
-    threshold = options.gradient_threshold(float(np.linalg.norm(problem.gradient(x))))
+    g = problem.gradient(x)
+    threshold = options.gradient_threshold(math.sqrt(float(g @ g)))
     trace = [] if options.record_trace else None
     iterations = 0
+    since_refresh = 0  # steps since g was last the true gradient
     start = time.perf_counter()
     while True:
-        record = me_iterate(problem, x, options, grad_tolerance=threshold)
+        record = me_iterate(problem, x, options, grad_tolerance=threshold, g_x=g)
         if record.branch is Branch.CONVERGED:
-            terminated = Termination.GRADIENT_TOLERANCE
-            f_final = record.f_value
-            grad_norm_final = record.grad_norm
-            break
+            if since_refresh == 0:
+                terminated = Termination.GRADIENT_TOLERANCE
+                f_final = record.f_value
+                grad_norm_final = record.grad_norm
+                break
+            g = problem.gradient(x)
+            since_refresh = 0
+            continue
         if trace is not None:
             trace.append(record)
         x = record.x_next
         iterations += 1
         if iterations >= options.max_iterations:
             g = problem.gradient(x)
-            grad_norm_final = float(np.linalg.norm(g))
+            grad_norm_final = math.sqrt(float(g @ g))
             if grad_norm_final <= threshold:
                 terminated = Termination.GRADIENT_TOLERANCE
             else:
                 terminated = Termination.MAX_ITERATIONS
-            f_final = problem.value(x)
+            f_final = _value_from_gradient(problem, x, g)
             break
+        since_refresh += 1
+        if since_refresh < _REFRESH_STEPS:
+            g = record.g_next
+        else:
+            g = problem.gradient(x)
+            since_refresh = 0
     elapsed = time.perf_counter() - start
     return SolverResult(
         x_final=x,

@@ -20,7 +20,7 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
-from ellipcenter.solver import SolveOptions, Termination, me_solve
+from ellipcenter.solver import _REFRESH_STEPS, SolveOptions, Termination, me_solve
 
 
 def diag_problem(entries, b=None):
@@ -28,6 +28,30 @@ def diag_problem(entries, b=None):
     if b is None:
         b = np.zeros(len(entries))
     return QuadraticProblem(DiagonalOperator(entries), b)
+
+
+class CountingOperator:
+    """Delegates to an operator and counts its matvecs."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    @property
+    def dim(self):
+        return self.op.dim
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.op.matvec(v)
+
+    def eigen_bounds(self):
+        return self.op.eigen_bounds()
+
+
+def counted_problem(entries, b):
+    op = CountingOperator(DiagonalOperator(entries))
+    return op, QuadraticProblem(op, b)
 
 
 def random_spd_problem(rng, n):
@@ -302,3 +326,65 @@ def test_iteration_counts_are_update_counts():
     assert gradient_optimal_step_solve(p, x1).iterations == 1
     assert cg_solve(p, x1).iterations == 1
     assert fast_gradient_solve(p, x1).iterations == 1
+
+
+class TestCarriedGradient:
+    @pytest.mark.parametrize("solve", [gradient_optimal_step_solve, cg_solve])
+    def test_one_matvec_per_step(self, solve):
+        rng = np.random.default_rng(54)
+        op, p = counted_problem(np.linspace(1.0, 2000.0, 200), rng.uniform(0, 10, 200))
+        result = solve(p, np.zeros(200))
+        k = result.iterations
+        assert k > _REFRESH_STEPS
+        assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+        # One at the start, one a step, one a refresh, one final check
+        # unless the last step already refreshed.
+        assert op.calls == 1 + k + k // _REFRESH_STEPS + (k % _REFRESH_STEPS != 0)
+
+    @pytest.mark.parametrize("solve", [gradient_optimal_step_solve, cg_solve])
+    @pytest.mark.parametrize("max_iterations", [3, _REFRESH_STEPS, 1_000_000])
+    def test_final_gradient_is_true_gradient(self, solve, max_iterations):
+        rng = np.random.default_rng(55)
+        p = diag_problem(np.linspace(1.0, 500.0, 60), b=rng.uniform(0.0, 5.0, 60))
+        result = solve(p, np.zeros(60), SolveOptions(max_iterations=max_iterations))
+        assert result.grad_norm_final == np.linalg.norm(p.gradient(result.x_final))
+        assert result.f_final == pytest.approx(p.value(result.x_final), rel=1e-12)
+
+    @pytest.mark.parametrize("solve", [gradient_optimal_step_solve, cg_solve])
+    def test_traced_norms_track_true_gradient(self, solve):
+        rng = np.random.default_rng(56)
+        p = diag_problem(np.linspace(1.0, 300.0, 80), b=rng.uniform(0.0, 5.0, 80))
+        result = solve(p, np.zeros(80), SolveOptions(record_trace=True))
+        for rec in result.trace:
+            assert rec.grad_norm == pytest.approx(np.linalg.norm(p.gradient(rec.x)), rel=1e-7)
+
+
+def _run(method, p, options):
+    x1 = np.zeros(p.dim)
+    if method == "grad":
+        return gradient_optimal_step_solve(p, x1, options)
+    if method == "cg":
+        return cg_solve(p, x1, options)
+    if method == "bb":
+        return bb_solve(p, x1, BBVariant(short_steps=False), options=options)
+    if method == "fast":
+        return fast_gradient_solve(p, x1, options)
+    return gradient_wolfe_solve(p, x1, options=options)
+
+
+@pytest.mark.parametrize("method", ["grad", "cg", "bb", "fast", "grad-wolfe"])
+def test_trace_adds_no_matvec(method):
+    # Trace records take f from the gradient in hand, not from a matvec.
+    rng = np.random.default_rng(57)
+    entries = np.linspace(1.0, 20.0, 30)
+    b = rng.uniform(0.0, 5.0, 30)
+    counts = []
+    for record_trace in (False, True):
+        op, p = counted_problem(entries, b)
+        options = SolveOptions(epsilon=1e-6, max_iterations=500, record_trace=record_trace)
+        result = _run(method, p, options)
+        counts.append(op.calls)
+    assert counts[0] == counts[1]
+    assert result.trace
+    for rec in result.trace:
+        assert rec.f_value == pytest.approx(p.value(rec.x), rel=1e-12, abs=1e-12)

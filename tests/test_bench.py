@@ -139,9 +139,15 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert len(report.rows) == 4
         assert report.rows[0].terminated_by == "error"
+        assert report.rows[0].error == (
+            "RuntimeError: cg: breakdown <d, A d> = 0.0; operator is not "
+            "positive definite or rounding destroyed conjugacy"
+        )
+        assert report.rows[1].error.startswith("ValueError: gradient energy norm")
         assert math.isnan(report.rows[0].optimal_value)
         assert report.rows[0].seed is None
         assert report.rows[2].terminated_by == "gradient_tolerance"
+        assert report.rows[2].error is None
         assert not all_converged(report)
 
     def test_trace_files_written(self, tmp_path):

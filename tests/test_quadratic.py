@@ -89,6 +89,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuadraticProblem(DiagonalOperator([1.0, 2.0]), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        with pytest.raises(ValueError, match="b must be finite, entry 0"):
+            QuadraticProblem(DiagonalOperator([1.0, 2.0]), [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c_rejected(self, bad):
+        with pytest.raises(ValueError, match="c must be finite"):
+            QuadraticProblem(DiagonalOperator([1.0, 2.0]), [1.0, 1.0], bad)
+
 
 class TestValueGradient:
     def test_value_examples(self):

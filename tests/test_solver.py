@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
+import ellipcenter.solver as solver_module
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.solver import (
+    _REFRESH_STEPS,
     Branch,
     EpsilonMode,
     SolveOptions,
@@ -20,6 +24,29 @@ from ellipcenter.solver import (
     me_solve,
     write_trace_csv,
 )
+
+# Worst relative drift ||g - (A x - b)|| / ||A x - b|| the refreshed
+# recurrence may show between a carried gradient and the true one.
+DRIFT_BOUND = 1e-7
+
+
+class CountingOperator:
+    """Delegates to an operator and counts its matvecs."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    @property
+    def dim(self):
+        return self.op.dim
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.op.matvec(v)
+
+    def eigen_bounds(self):
+        return self.op.eigen_bounds()
 
 
 def diag_problem(entries, b=None, c=0.0):
@@ -278,6 +305,106 @@ class TestMeSolve:
         p = diag_problem([1.0, 2.0])
         with pytest.raises(ValueError):
             me_solve(p, [1.0, 2.0, 3.0])
+
+
+class TestCarriedGradient:
+    def test_g_x_argument_matches_computed_gradient(self):
+        rng = np.random.default_rng(31)
+        p = random_problem(rng, 12)
+        x = rng.standard_normal(12)
+        own = me_iterate(p, x, grad_tolerance=0.0)
+        given = me_iterate(p, x, grad_tolerance=0.0, g_x=p.gradient(x))
+        np.testing.assert_array_equal(own.x_next, given.x_next)
+        np.testing.assert_array_equal(own.g_next, given.g_next)
+
+    def test_g_next_is_gradient_at_next_iterate(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            p = random_problem(rng, n)
+            rec = me_iterate(p, rng.standard_normal(n), grad_tolerance=0.0)
+            if rec.branch is Branch.CONVERGED:
+                continue
+            true = p.gradient(rec.x_next)
+            scale = np.linalg.norm(rec.g_x)
+            assert np.linalg.norm(rec.g_next - true) <= 1e-10 * scale
+            np.testing.assert_allclose(rec.g_y, p.gradient(rec.y), atol=1e-10 * scale)
+
+    def test_midpoint_branch_halves_level_step(self):
+        p = diag_problem([1.0, 1.0])
+        rec = me_iterate(p, [1.0, 0.0])
+        assert rec.branch is Branch.MIDPOINT
+        np.testing.assert_array_equal(rec.x_next, rec.x - (rec.t / 2.0) * rec.g_x)
+        np.testing.assert_allclose(rec.g_next, p.gradient(rec.x_next), atol=1e-15)
+
+    def test_y_is_derived_not_stored(self):
+        p = diag_problem([1.0, 4.0])
+        rec = me_iterate(p, [2.0, 1.0])
+        np.testing.assert_array_equal(rec.y, rec.x - rec.t * rec.g_x)
+        assert "y" not in rec.__dataclass_fields__
+        converged = me_iterate(p, [0.0, 0.0])
+        assert converged.y is None
+
+    def test_matvec_count_two_per_step(self):
+        rng = np.random.default_rng(33)
+        op = CountingOperator(DiagonalOperator(np.linspace(1.0, 2000.0, 200)))
+        p = QuadraticProblem(op, rng.uniform(0.0, 10.0, 200))
+        result = me_solve(p, np.zeros(200))
+        k = result.iterations
+        assert k > 2 * _REFRESH_STEPS
+        assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+        # One at the start, two a step, one a refresh, one final check
+        # unless the last step already refreshed.
+        assert op.calls == 1 + 2 * k + k // _REFRESH_STEPS + (k % _REFRESH_STEPS != 0)
+
+    def test_matvec_count_single_step(self):
+        op = CountingOperator(DiagonalOperator([1.0, 4.0]))
+        result = me_solve(QuadraticProblem(op, [1.0, 1.0]), np.zeros(2))
+        assert result.iterations == 1
+        assert op.calls == 4
+
+    def test_drift_bounded_and_no_subnormals(self):
+        # Without refresh the recurred gradient of this kappa = 5e4 instance
+        # has subnormal entries from about step 170 on.
+        p = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 500, 1))
+        result = me_solve(
+            p, np.zeros(500), SolveOptions(max_iterations=2000, record_trace=True)
+        )
+        assert len(result.trace) == 2000
+        tiny = np.finfo(float).tiny
+        for rec in result.trace:
+            true = p.gradient(rec.x)
+            assert np.linalg.norm(rec.g_x - true) <= DRIFT_BOUND * np.linalg.norm(true)
+            assert not np.any((rec.g_x != 0.0) & (np.abs(rec.g_x) < tiny))
+
+    @pytest.mark.parametrize("max_iterations", [3, _REFRESH_STEPS, 1_000_000])
+    def test_final_gradient_is_true_gradient(self, max_iterations):
+        rng = np.random.default_rng(34)
+        p = diag_problem(np.linspace(1.0, 500.0, 60), b=rng.uniform(0.0, 5.0, 60))
+        result = me_solve(p, np.zeros(60), SolveOptions(max_iterations=max_iterations))
+        g = p.gradient(result.x_final)
+        assert result.grad_norm_final == np.linalg.norm(g)
+        assert result.f_final == pytest.approx(p.value(result.x_final), rel=1e-12)
+
+    def test_recurred_convergence_is_confirmed(self, monkeypatch):
+        # A carried gradient that claims convergence does not end the solve
+        # unless the true gradient agrees.
+        rng = np.random.default_rng(35)
+        p = diag_problem(np.linspace(1.0, 100.0, 40), b=rng.uniform(0.0, 5.0, 40))
+        reference = me_solve(p, np.zeros(40))
+        real = solver_module.me_iterate
+
+        def lying(problem, x, options, grad_tolerance=None, g_x=None):
+            record = real(problem, x, options, grad_tolerance, g_x)
+            if record.branch is not Branch.CONVERGED:
+                record = dataclasses.replace(record, g_next=np.zeros_like(record.g_next))
+            return record
+
+        monkeypatch.setattr(solver_module, "me_iterate", lying)
+        result = me_solve(p, np.zeros(40))
+        assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+        assert result.iterations == reference.iterations
+        assert result.grad_norm_final == np.linalg.norm(p.gradient(result.x_final))
 
 
 class TestSolveOptionsValidation:
