@@ -16,8 +16,6 @@ from .solver import (
     SolverResult,
     StepRecord,
     Termination,
-    ellipse_center_coeffs,
-    level_step,
     me_iterate,
     me_solve,
     write_trace_csv,

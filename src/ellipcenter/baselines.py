@@ -3,31 +3,24 @@
 Five methods: exact-line-search gradient descent, conjugate gradient,
 Barzilai-Borwein (long or short steps, first step by Wolfe search),
 Nesterov-style fast gradient, and gradient descent with Wolfe search.
-All of them count iterations as the number of x-updates, check convergence
-before each update, and fix the gradient threshold from the initial iterate.
-Gradient descent and conjugate gradient carry the gradient by recurrence, one
-matvec a step, and replace it with the true gradient as ``me_solve`` does:
-every ``_REFRESH_STEPS`` steps and before the solve reports its termination.
+Each is a step kernel run by ``solver._drive``, the loop ``me_solve`` uses:
+iterations count x-updates, convergence is checked before each update, and
+the gradient threshold is fixed from the initial iterate.  Gradient descent
+and conjugate gradient carry the gradient by recurrence, one matvec a step,
+and the driver replaces it with the true gradient as it does for
+``me_solve``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import QuadraticProblem, _as_vector
-from .solver import (
-    _REFRESH_STEPS,
-    SolveOptions,
-    SolverResult,
-    StepRecord,
-    Termination,
-    _value_from_gradient,
-)
+from .quadratic import QuadraticProblem
+from .solver import SolveOptions, SolverResult, _drive
 
 __all__ = [
     "WolfeParams",
@@ -111,8 +104,16 @@ def wolfe_search(oracle, x, d, params: WolfeParams = WolfeParams()) -> float:
     return best if best is not None else t
 
 
-def _blackbox(problem: QuadraticProblem):
-    return lambda z: (problem.value(z), problem.gradient(z))
+def _line_oracle(problem: QuadraticProblem, x, g_x):
+    # Oracle for a line search from x, at one matvec a trial.  It returns
+    # f(z) - f(x) = 1/2 (z - x)^T (g(z) + g(x)), exact for a quadratic, in
+    # place of f(z): near the minimizer the decrease the Wolfe test compares
+    # falls below the rounding of f itself, and the search stalls.
+    def oracle(z):
+        g = problem.gradient(z)
+        return 0.5 * float((z - x) @ (g + g_x)), g
+
+    return oracle
 
 
 def bb_step_length(s, y, variant: BBVariant) -> float:
@@ -130,30 +131,6 @@ def bb_step_length(s, y, variant: BBVariant) -> float:
     return float(s @ s) / sy if sy > 0.0 else math.nan
 
 
-def _check_finite(grad_norm: float, method: str) -> None:
-    if not np.isfinite(grad_norm):
-        raise RuntimeError(f"{method}: gradient norm became {grad_norm}; aborting")
-
-
-def _termination(grad_norm, threshold):
-    if grad_norm <= threshold:
-        return Termination.GRADIENT_TOLERANCE
-    return Termination.MAX_ITERATIONS
-
-
-def _result(problem, x, g, iterations, grad_norm, terminated, start, trace):
-    """The result at ``x``, whose true gradient ``g`` is in hand."""
-    return SolverResult(
-        x_final=x,
-        iterations=iterations,
-        f_final=_value_from_gradient(problem, x, g),
-        grad_norm_final=grad_norm,
-        wall_time_seconds=time.perf_counter() - start,
-        terminated_by=terminated,
-        trace=trace,
-    )
-
-
 def gradient_optimal_step_solve(
     problem: QuadraticProblem, x1, options: SolveOptions = SolveOptions()
 ) -> SolverResult:
@@ -161,43 +138,15 @@ def gradient_optimal_step_solve(
 
     The gradient is carried as r <- r - t A r, one matvec a step.
     """
-    x = _as_vector(x1, problem.dim, name="x1")
-    r = problem.gradient(x)
-    grad_norm = float(np.linalg.norm(r))
-    threshold = options.gradient_threshold(grad_norm)
-    trace = [] if options.record_trace else None
-    iterations = 0
-    since_refresh = 0  # steps since r was last the true gradient
-    start = time.perf_counter()
-    while iterations < options.max_iterations:
-        if grad_norm <= threshold:
-            if since_refresh == 0:
-                break
-            r = problem.gradient(x)
-            grad_norm = float(np.linalg.norm(r))
-            since_refresh = 0
-            continue
-        _check_finite(grad_norm, "gradient_optimal_step")
-        if trace is not None:
-            trace.append(StepRecord(_value_from_gradient(problem, x, r), grad_norm, x))
+
+    def step(x, r, threshold):
         ar = problem.A.matvec(r)
         t = (r @ r) / (r @ ar)
         if not np.isfinite(t):
             raise RuntimeError(f"gradient_optimal_step: non-finite step {t!r}")
-        x = x - t * r
-        since_refresh += 1
-        if since_refresh < _REFRESH_STEPS:
-            r = r - t * ar
-        else:
-            r = problem.gradient(x)
-            since_refresh = 0
-        grad_norm = float(np.linalg.norm(r))
-        iterations += 1
-    if since_refresh:
-        r = problem.gradient(x)
-        grad_norm = float(np.linalg.norm(r))
-    terminated = _termination(grad_norm, threshold)
-    return _result(problem, x, r, iterations, grad_norm, terminated, start, trace)
+        return x - t * r, r - t * ar, None
+
+    return _drive(problem, x1, options, step, "gradient_optimal_step", carried=True)
 
 
 def cg_solve(
@@ -210,28 +159,10 @@ def cg_solve(
     n iterations, so the loop is capped at n plus a small rounding slack.
     The gradient is carried as g <- g + t A d, one matvec a step.
     """
-    x = _as_vector(x1, problem.dim, name="x1")
-    g = problem.gradient(x)
-    grad_norm = float(np.linalg.norm(g))
-    threshold = options.gradient_threshold(grad_norm)
-    cap = min(options.max_iterations, problem.dim + _CG_EXTRA_ITERATIONS)
-    trace = [] if options.record_trace else None
-    iterations = 0
-    since_refresh = 0  # steps since g was last the true gradient
-    d = None
-    ad = None
-    start = time.perf_counter()
-    while iterations < cap:
-        if grad_norm <= threshold:
-            if since_refresh == 0:
-                break
-            g = problem.gradient(x)
-            grad_norm = float(np.linalg.norm(g))
-            since_refresh = 0
-            continue
-        _check_finite(grad_norm, "cg")
-        if trace is not None:
-            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
+    d = ad = None
+
+    def step(x, g, threshold):
+        nonlocal d, ad
         if d is None:
             d = g
         else:
@@ -245,20 +176,10 @@ def cg_solve(
                 "definite or rounding destroyed conjugacy"
             )
         t = -(d @ g) / dad
-        x = x + t * d
-        since_refresh += 1
-        if since_refresh < _REFRESH_STEPS:
-            g = g + t * ad
-        else:
-            g = problem.gradient(x)
-            since_refresh = 0
-        grad_norm = float(np.linalg.norm(g))
-        iterations += 1
-    if since_refresh:
-        g = problem.gradient(x)
-        grad_norm = float(np.linalg.norm(g))
-    terminated = _termination(grad_norm, threshold)
-    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)
+        return x + t * d, g + t * ad, None
+
+    cap = problem.dim + _CG_EXTRA_ITERATIONS
+    return _drive(problem, x1, options, step, "cg", carried=True, cap=cap)
 
 
 def bb_solve(
@@ -268,42 +189,27 @@ def bb_solve(
     wolfe: WolfeParams = WolfeParams(),
     options: SolveOptions = SolveOptions(),
 ) -> SolverResult:
-    """Barzilai-Borwein steps along d = b - A x after a first Wolfe-search step.
+    """Barzilai-Borwein steps along d = -grad f(x) after a first Wolfe-search step.
 
-    With s = x - x_prev and y = d_prev - d (d being the negative gradient,
-    y equals the usual gradient difference), the long step is s^T s / s^T y
+    With s = x - x_prev and y = g - g_prev, the long step is s^T s / s^T y
     and the short step s^T y / y^T y.  Degenerate denominators (s^T y <= 0 or
     y^T y = 0, possible only through rounding) fall back to a Wolfe step for
     that iteration.
     """
-    x = _as_vector(x1, problem.dim, name="x1")
-    oracle = _blackbox(problem)
-    d = problem.b - problem.A.matvec(x)
-    grad_norm = float(np.linalg.norm(d))
-    threshold = options.gradient_threshold(grad_norm)
-    trace = [] if options.record_trace else None
-    iterations = 0
-    x_prev = None
-    d_prev = None
-    start = time.perf_counter()
-    while grad_norm > threshold and iterations < options.max_iterations:
-        _check_finite(grad_norm, "bb")
-        if trace is not None:
-            trace.append(StepRecord(_value_from_gradient(problem, x, -d), grad_norm, x))
-        if iterations == 0:
-            t = wolfe_search(oracle, x, d, wolfe)
-        else:
-            t = bb_step_length(x - x_prev, d_prev - d, variant)
-            if not np.isfinite(t) or t <= 0.0:
-                t = wolfe_search(oracle, x, d, wolfe)
-        x_prev = x
-        d_prev = d
-        x = x + t * d
-        d = problem.b - problem.A.matvec(x)
-        grad_norm = float(np.linalg.norm(d))
-        iterations += 1
-    terminated = _termination(grad_norm, threshold)
-    return _result(problem, x, -d, iterations, grad_norm, terminated, start, trace)
+    x_prev = g_prev = None
+
+    def step(x, g, threshold):
+        nonlocal x_prev, g_prev
+        t = math.nan
+        if x_prev is not None:
+            t = bb_step_length(x - x_prev, g - g_prev, variant)
+        if not np.isfinite(t) or t <= 0.0:
+            t = wolfe_search(_line_oracle(problem, x, g), x, -g, wolfe)
+        x_prev, g_prev = x, g
+        x_next = x - t * g
+        return x_next, problem.gradient(x_next), None
+
+    return _drive(problem, x1, options, step, "bb")
 
 
 def fast_gradient_solve(
@@ -316,32 +222,24 @@ def fast_gradient_solve(
     x~ = (C y + a x) / C+, the gradient step y+ = x~ + (b - A x~) / L, and
     x = (C+/a) y+ - (C/a) y.  Convergence is checked on the x-sequence.
     """
-    x = _as_vector(x1, problem.dim, name="x1")
     L = problem.A.eigen_bounds().lambda_max
-    y = x
+    y = None
     C = 0.0
-    g = problem.gradient(x)
-    grad_norm = float(np.linalg.norm(g))
-    threshold = options.gradient_threshold(grad_norm)
-    trace = [] if options.record_trace else None
-    iterations = 0
-    start = time.perf_counter()
-    while grad_norm > threshold and iterations < options.max_iterations:
-        _check_finite(grad_norm, "fast_gradient")
-        if trace is not None:
-            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
+
+    def step(x, g, threshold):
+        nonlocal y, C
+        if y is None:
+            y = x
         a = (1.0 + math.sqrt(1.0 + 4.0 * L * C)) / (2.0 * L)
         C_next = C + a
         x_tilde = (C * y + a * x) / C_next
         y_next = x_tilde + (problem.b - problem.A.matvec(x_tilde)) / L
-        x = (C_next / a) * y_next - (C / a) * y
+        x_next = (C_next / a) * y_next - (C / a) * y
         y = y_next
         C = C_next
-        g = problem.gradient(x)
-        grad_norm = float(np.linalg.norm(g))
-        iterations += 1
-    terminated = _termination(grad_norm, threshold)
-    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)
+        return x_next, problem.gradient(x_next), None
+
+    return _drive(problem, x1, options, step, "fast_gradient")
 
 
 def gradient_wolfe_solve(
@@ -351,22 +249,9 @@ def gradient_wolfe_solve(
     options: SolveOptions = SolveOptions(),
 ) -> SolverResult:
     """Gradient descent with Wolfe search along d = -grad f(x)."""
-    x = _as_vector(x1, problem.dim, name="x1")
-    oracle = _blackbox(problem)
-    g = problem.gradient(x)
-    grad_norm = float(np.linalg.norm(g))
-    threshold = options.gradient_threshold(grad_norm)
-    trace = [] if options.record_trace else None
-    iterations = 0
-    start = time.perf_counter()
-    while grad_norm > threshold and iterations < options.max_iterations:
-        _check_finite(grad_norm, "gradient_wolfe")
-        if trace is not None:
-            trace.append(StepRecord(_value_from_gradient(problem, x, g), grad_norm, x))
-        t = wolfe_search(oracle, x, -g, wolfe)
-        x = x - t * g
-        g = problem.gradient(x)
-        grad_norm = float(np.linalg.norm(g))
-        iterations += 1
-    terminated = _termination(grad_norm, threshold)
-    return _result(problem, x, g, iterations, grad_norm, terminated, start, trace)
+
+    def step(x, g, threshold):
+        x_next = x - wolfe_search(_line_oracle(problem, x, g), x, -g, wolfe) * g
+        return x_next, problem.gradient(x_next), None
+
+    return _drive(problem, x1, options, step, "gradient_wolfe")

@@ -33,8 +33,6 @@ __all__ = [
     "IterationRecord",
     "StepRecord",
     "SolverResult",
-    "level_step",
-    "ellipse_center_coeffs",
     "me_iterate",
     "me_solve",
     "write_trace_csv",
@@ -143,9 +141,9 @@ class SolverResult:
 
 
 # me_solve, gradient_optimal_step_solve and cg_solve carry the gradient by
-# recurrence and replace it with the true gradient A x - b after this many
-# steps (residual replacement, van der Vorst & Ye 2000).  Without it the
-# recurred gradient drifts from the true one, and on ill-conditioned
+# recurrence, and _drive replaces it with the true gradient A x - b after
+# this many steps (residual replacement, van der Vorst & Ye 2000).  Without
+# it the recurred gradient drifts from the true one, and on ill-conditioned
 # diagonals its entries for large eigenvalues decay into subnormals, which
 # slow every later multiply.  Measured for the center method on the diag
 # family, epsilon 1e-8 relative, as the worst relative drift
@@ -195,18 +193,6 @@ def _combine(base, alpha, u, beta, v, tmp):
     return out
 
 
-def level_step(problem: QuadraticProblem, x, g_x):
-    """Step along -g_x to the other point of the current level set.
-
-    Returns ``(t, y)`` with t = 2 ||g_x||^2 / (g_x^T A g_x) and y = x - t g_x,
-    so that f(y) = f(x).  Requires a nonzero gradient.
-    """
-    x = _as_vector(x, problem.dim)
-    g_x = _as_vector(g_x, problem.dim, name="g_x")
-    t = _level_length(float(g_x @ g_x), problem.a_inner(g_x, g_x))
-    return t, x - t * g_x
-
-
 def _coeffs_from_gram(gg, gxgy, m11, m12, m22, delta):
     # Cramer solve of M [alpha, beta] = q with q = (-||g_x||^2, -<g_x, g_y>).
     q1 = -gg
@@ -214,57 +200,6 @@ def _coeffs_from_gram(gg, gxgy, m11, m12, m22, delta):
     alpha = (q1 * m22 - q2 * m12) / delta
     beta = (m11 * q2 - m12 * q1) / delta
     return alpha, beta
-
-
-def _coeffs_expanded(gg, gxgy, m11, m12, m22, delta):
-    # Same algebra written as the four explicit products, kept as a
-    # cross-check on the Gram-system route.
-    alpha = (gxgy * m12 - gg * m22) / delta
-    beta = (-gxgy * m11 + gg * m12) / delta
-    return alpha, beta
-
-
-def ellipse_center_coeffs(
-    problem: QuadraticProblem,
-    g_x,
-    g_y,
-    dependence_tolerance: float = 1e-12,
-    cross_check: bool = False,
-):
-    """Coefficients (delta, alpha, beta) of the ellipse center.
-
-    The center of the level-set ellipse in the plane spanned by g_x and g_y
-    is x + alpha g_x + beta g_y.  The pair (alpha, beta) solves the 2x2 Gram
-    system whose determinant is delta.  Raises if the gradients fail the
-    dependence test; callers must take the midpoint branch instead.
-
-    With ``cross_check`` the coefficients are recomputed from the expanded
-    product formulas and both routes must agree to 1e-10 relatively.
-    """
-    g_x = _as_vector(g_x, problem.dim, name="g_x")
-    g_y = _as_vector(g_y, problem.dim, name="g_y")
-    ag_x = problem.A.matvec(g_x)
-    ag_y = problem.A.matvec(g_y)
-    m11 = float(g_x @ ag_x)
-    m12 = float(g_x @ ag_y)
-    m22 = float(g_y @ ag_y)
-    delta = _gram_delta(m11, m12, m22, dependence_tolerance)
-    if delta is None:
-        raise ValueError(
-            f"gradients are dependent (delta={m11 * m22 - m12 * m12:.3e}); "
-            "the midpoint branch applies"
-        )
-    gg = float(g_x @ g_x)
-    gxgy = float(g_x @ g_y)
-    alpha, beta = _coeffs_from_gram(gg, gxgy, m11, m12, m22, delta)
-    if cross_check:
-        alpha2, beta2 = _coeffs_expanded(gg, gxgy, m11, m12, m22, delta)
-        scale = max(abs(alpha), abs(beta), 1e-300)
-        if abs(alpha - alpha2) > 1e-10 * scale or abs(beta - beta2) > 1e-10 * scale:
-            raise RuntimeError(
-                f"coefficient routes disagree: ({alpha}, {beta}) vs ({alpha2}, {beta2})"
-            )
-    return delta, alpha, beta
 
 
 def me_iterate(
@@ -341,6 +276,69 @@ def me_iterate(
     )
 
 
+def _drive(problem, x1, options, step, method, carried=False, cap=None):
+    """Run ``step`` from ``x1`` under the stopping rule shared by all solvers.
+
+    ``step(x, g, threshold)`` makes one update from ``x`` with gradient ``g``
+    and returns ``(x_next, g_next, record)``; ``record`` is the trace record
+    of the step, or None to have a ``StepRecord`` built here when tracing.
+    The gradient threshold is fixed from the initial iterate, the
+    convergence check runs before each update, and ``iterations`` counts
+    updates actually performed, at most ``cap`` (and ``max_iterations``).
+    With ``carried`` the step's ``g_next`` is a recurrence: the true
+    gradient replaces it every ``_REFRESH_STEPS`` steps, and the solve stops
+    only on a true gradient, so ``terminated_by``, ``f_final`` and
+    ``grad_norm_final`` describe the returned iterate.
+    """
+    x = _as_vector(x1, problem.dim, name="x1")
+    g = problem.gradient(x)
+    grad_norm = math.sqrt(float(g @ g))
+    if not math.isfinite(grad_norm):
+        raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
+    threshold = options.gradient_threshold(grad_norm)
+    cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
+    trace = [] if options.record_trace else None
+    iterations = 0
+    since_refresh = 0  # steps since g was last the true gradient
+    start = time.perf_counter()
+    while True:
+        if grad_norm <= threshold or iterations >= cap:
+            if not since_refresh:
+                break
+            g = problem.gradient(x)
+            grad_norm = math.sqrt(float(g @ g))
+            since_refresh = 0
+            continue
+        if not math.isfinite(grad_norm):
+            raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
+        x_next, g_next, record = step(x, g, threshold)
+        if trace is not None:
+            if record is None:
+                record = StepRecord(_value_from_gradient(problem, x, g), grad_norm, x)
+            trace.append(record)
+        x, g = x_next, g_next
+        iterations += 1
+        if carried:
+            since_refresh += 1
+            if since_refresh == _REFRESH_STEPS:
+                g = problem.gradient(x)
+                since_refresh = 0
+        grad_norm = math.sqrt(float(g @ g))
+    return SolverResult(
+        x_final=x,
+        iterations=iterations,
+        f_final=_value_from_gradient(problem, x, g),
+        grad_norm_final=grad_norm,
+        wall_time_seconds=time.perf_counter() - start,
+        terminated_by=(
+            Termination.GRADIENT_TOLERANCE
+            if grad_norm <= threshold
+            else Termination.MAX_ITERATIONS
+        ),
+        trace=trace,
+    )
+
+
 def me_solve(
     problem: QuadraticProblem,
     x1,
@@ -348,60 +346,18 @@ def me_solve(
 ) -> SolverResult:
     """Run the ellipse-center method from ``x1`` until the stopping rule fires.
 
-    The gradient threshold is fixed from the initial iterate, the convergence
-    check runs before each update, and ``iterations`` counts updates actually
-    performed.  Each step hands its ``g_next`` to the next one; the true
-    gradient replaces it every ``_REFRESH_STEPS`` steps, and the solve stops
-    only on a true gradient, so ``terminated_by``, ``f_final`` and
-    ``grad_norm_final`` describe the returned iterate.
+    Each step hands its ``g_next`` to the next one as a carried gradient;
+    the shared driver replaces it with the true gradient every
+    ``_REFRESH_STEPS`` steps and stops only on a true gradient, so
+    ``terminated_by``, ``f_final`` and ``grad_norm_final`` describe the
+    returned iterate.
     """
-    x = _as_vector(x1, problem.dim, name="x1")
-    g = problem.gradient(x)
-    threshold = options.gradient_threshold(math.sqrt(float(g @ g)))
-    trace = [] if options.record_trace else None
-    iterations = 0
-    since_refresh = 0  # steps since g was last the true gradient
-    start = time.perf_counter()
-    while True:
+
+    def step(x, g, threshold):
         record = me_iterate(problem, x, options, grad_tolerance=threshold, g_x=g)
-        if record.branch is Branch.CONVERGED:
-            if since_refresh == 0:
-                terminated = Termination.GRADIENT_TOLERANCE
-                f_final = record.f_value
-                grad_norm_final = record.grad_norm
-                break
-            g = problem.gradient(x)
-            since_refresh = 0
-            continue
-        if trace is not None:
-            trace.append(record)
-        x = record.x_next
-        iterations += 1
-        if iterations >= options.max_iterations:
-            g = problem.gradient(x)
-            grad_norm_final = math.sqrt(float(g @ g))
-            if grad_norm_final <= threshold:
-                terminated = Termination.GRADIENT_TOLERANCE
-            else:
-                terminated = Termination.MAX_ITERATIONS
-            f_final = _value_from_gradient(problem, x, g)
-            break
-        since_refresh += 1
-        if since_refresh < _REFRESH_STEPS:
-            g = record.g_next
-        else:
-            g = problem.gradient(x)
-            since_refresh = 0
-    elapsed = time.perf_counter() - start
-    return SolverResult(
-        x_final=x,
-        iterations=iterations,
-        f_final=f_final,
-        grad_norm_final=grad_norm_final,
-        wall_time_seconds=elapsed,
-        terminated_by=terminated,
-        trace=trace,
-    )
+        return record.x_next, record.g_next, record
+
+    return _drive(problem, x1, options, step, "me", carried=True)
 
 
 _TRACE_COLUMNS = ("iter", "branch", "f", "grad_norm", "t", "delta", "alpha", "beta")

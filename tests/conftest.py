@@ -1,3 +1,22 @@
+class CountingOperator:
+    """Delegates to an operator and counts its matvecs."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    @property
+    def dim(self):
+        return self.op.dim
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.op.matvec(v)
+
+    def eigen_bounds(self):
+        return self.op.eigen_bounds()
+
+
 ACCEPTANCE_LINES = []
 
 

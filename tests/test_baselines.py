@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CountingOperator
+
 from ellipcenter.baselines import (
     BBVariant,
     WolfeParams,
@@ -14,6 +16,7 @@ from ellipcenter.baselines import (
     gradient_wolfe_solve,
     wolfe_search,
 )
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
     DenseOperator,
     DiagonalOperator,
@@ -30,23 +33,22 @@ def diag_problem(entries, b=None):
     return QuadraticProblem(DiagonalOperator(entries), b)
 
 
-class CountingOperator:
-    """Delegates to an operator and counts its matvecs."""
+def bb_long_solve(problem, x1, options=SolveOptions()):
+    return bb_solve(problem, x1, BBVariant(short_steps=False), options=options)
 
-    def __init__(self, op):
-        self.op = op
-        self.calls = 0
 
-    @property
-    def dim(self):
-        return self.op.dim
+def grad_wolfe_solve(problem, x1, options=SolveOptions()):
+    return gradient_wolfe_solve(problem, x1, options=options)
 
-    def matvec(self, v):
-        self.calls += 1
-        return self.op.matvec(v)
 
-    def eigen_bounds(self):
-        return self.op.eigen_bounds()
+SOLVERS = {
+    "me": me_solve,
+    "grad": gradient_optimal_step_solve,
+    "cg": cg_solve,
+    "bb": bb_long_solve,
+    "fast": fast_gradient_solve,
+    "grad-wolfe": grad_wolfe_solve,
+}
 
 
 def counted_problem(entries, b):
@@ -341,7 +343,11 @@ class TestCarriedGradient:
         # unless the last step already refreshed.
         assert op.calls == 1 + k + k // _REFRESH_STEPS + (k % _REFRESH_STEPS != 0)
 
-    @pytest.mark.parametrize("solve", [gradient_optimal_step_solve, cg_solve])
+    @pytest.mark.parametrize(
+        "solve",
+        [gradient_optimal_step_solve, cg_solve, bb_long_solve, fast_gradient_solve,
+         grad_wolfe_solve],
+    )
     @pytest.mark.parametrize("max_iterations", [3, _REFRESH_STEPS, 1_000_000])
     def test_final_gradient_is_true_gradient(self, solve, max_iterations):
         rng = np.random.default_rng(55)
@@ -360,19 +366,10 @@ class TestCarriedGradient:
 
 
 def _run(method, p, options):
-    x1 = np.zeros(p.dim)
-    if method == "grad":
-        return gradient_optimal_step_solve(p, x1, options)
-    if method == "cg":
-        return cg_solve(p, x1, options)
-    if method == "bb":
-        return bb_solve(p, x1, BBVariant(short_steps=False), options=options)
-    if method == "fast":
-        return fast_gradient_solve(p, x1, options)
-    return gradient_wolfe_solve(p, x1, options=options)
+    return SOLVERS[method](p, np.zeros(p.dim), options)
 
 
-@pytest.mark.parametrize("method", ["grad", "cg", "bb", "fast", "grad-wolfe"])
+@pytest.mark.parametrize("method", ["grad", "cg", "bb", "fast", "grad-wolfe", "me"])
 def test_trace_adds_no_matvec(method):
     # Trace records take f from the gradient in hand, not from a matvec.
     rng = np.random.default_rng(57)
@@ -388,3 +385,28 @@ def test_trace_adds_no_matvec(method):
     assert result.trace
     for rec in result.trace:
         assert rec.f_value == pytest.approx(p.value(rec.x), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_overflowing_initial_gradient_raises(method):
+    # ||g|| = ||b|| overflows at x1 = 0; no threshold can be derived from it.
+    p = QuadraticProblem(DiagonalOperator([1.0, 2.0]), [1e200, 1e200])
+    with pytest.raises(RuntimeError, match="gradient norm is inf; aborting"):
+        _run(method, p, SolveOptions())
+
+
+def _wolfe_stall_instance(name):
+    if name == "rank1-1000":
+        return generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1000, 1))
+    return random_spd_problem(np.random.default_rng(74), 5)
+
+
+@pytest.mark.parametrize("instance", ["rank1-1000", "spd5-seed74"])
+def test_gradient_wolfe_reaches_tolerance(instance):
+    # Near the minimizer the decrease the Wolfe test compares falls below the
+    # rounding of f.  With f = 1/2 x^T A x - b^T x + c the search stalls on
+    # the rank-one instance at ||g|| / ||g1|| of about 3.5e-8; with
+    # f = 1/2 (x^T g - b^T x) + c it stalls on the n = 5 one at about 1.9e-8.
+    p = _wolfe_stall_instance(instance)
+    result = grad_wolfe_solve(p, np.zeros(p.dim), SolveOptions(max_iterations=1000))
+    assert result.terminated_by is Termination.GRADIENT_TOLERANCE

@@ -4,6 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import CountingOperator
+
 from ellipcenter.quadratic import (
     DenseOperator,
     DiagonalOperator,
@@ -18,8 +20,7 @@ from ellipcenter.solver import (
     EpsilonMode,
     SolveOptions,
     Termination,
-    ellipse_center_coeffs,
-    level_step,
+    _coeffs_from_gram,
     me_iterate,
     me_solve,
     write_trace_csv,
@@ -28,25 +29,6 @@ from ellipcenter.solver import (
 # Worst relative drift ||g - (A x - b)|| / ||A x - b|| the refreshed
 # recurrence may show between a carried gradient and the true one.
 DRIFT_BOUND = 1e-7
-
-
-class CountingOperator:
-    """Delegates to an operator and counts its matvecs."""
-
-    def __init__(self, op):
-        self.op = op
-        self.calls = 0
-
-    @property
-    def dim(self):
-        return self.op.dim
-
-    def matvec(self, v):
-        self.calls += 1
-        return self.op.matvec(v)
-
-    def eigen_bounds(self):
-        return self.op.eigen_bounds()
 
 
 def diag_problem(entries, b=None, c=0.0):
@@ -68,32 +50,41 @@ def random_problem(rng, n):
     return QuadraticProblem(op, rng.standard_normal(n))
 
 
+def gram_solve(p, g_x, g_y):
+    # Independent oracle: numpy's solve of the Gram system M [alpha, beta] = q.
+    a = p.A.dense()
+    m = np.array([[g_x @ a @ g_x, g_x @ a @ g_y], [g_x @ a @ g_y, g_y @ a @ g_y]])
+    q = np.array([-(g_x @ g_x), -(g_x @ g_y)])
+    return np.linalg.det(m), np.linalg.solve(m, q)
+
+
 class TestLevelStep:
+    # The level step is the t and y of a me_iterate record.
     def test_hand_example(self):
         p = diag_problem([1.0, 4.0])
-        x = np.array([2.0, 1.0])
-        t, y = level_step(p, x, p.gradient(x))
-        assert t == pytest.approx(10.0 / 17.0, rel=1e-15)
-        np.testing.assert_allclose(y, [14.0 / 17.0, -23.0 / 17.0], rtol=1e-14)
-        assert p.value(y) == pytest.approx(p.value(x), rel=1e-12)
+        rec = me_iterate(p, [2.0, 1.0])
+        assert rec.t == pytest.approx(10.0 / 17.0, rel=1e-15)
+        np.testing.assert_allclose(rec.y, [14.0 / 17.0, -23.0 / 17.0], rtol=1e-14)
+        assert p.value(rec.y) == pytest.approx(p.value(rec.x), rel=1e-12)
 
     def test_identity_reflects(self):
         p = diag_problem([1.0, 1.0, 1.0])
         x = np.array([0.3, -2.0, 1.0])
-        t, y = level_step(p, x, p.gradient(x))
-        assert t == pytest.approx(2.0)
-        np.testing.assert_allclose(y, -x, rtol=1e-14)
+        rec = me_iterate(p, x)
+        assert rec.t == pytest.approx(2.0)
+        np.testing.assert_allclose(rec.y, -x, rtol=1e-14)
 
     def test_one_dimensional_reflection(self):
         p = diag_problem([2.0])
-        t, y = level_step(p, [3.0], p.gradient([3.0]))
-        assert t == pytest.approx(1.0)
-        assert y[0] == pytest.approx(-3.0)
+        rec = me_iterate(p, [3.0])
+        assert rec.t == pytest.approx(1.0)
+        assert rec.y[0] == pytest.approx(-3.0)
 
     def test_indefinite_operator_rejected(self):
+        # x = (0, 1) has the gradient (0, -1), whose energy is -1.
         p = QuadraticProblem(DenseOperator([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
         with pytest.raises(ValueError, match="positive definite"):
-            level_step(p, [0.0, 1.0], [0.0, -1.0])
+            me_iterate(p, [0.0, 1.0])
 
     def test_level_set_equality_sweep(self):
         rng = np.random.default_rng(20)
@@ -101,75 +92,73 @@ class TestLevelStep:
             n = int(rng.integers(1, 101))
             p = random_problem(rng, n)
             x = rng.standard_normal(n) * 3.0
-            g = p.gradient(x)
-            if np.linalg.norm(g) == 0.0:
+            if np.linalg.norm(p.gradient(x)) == 0.0:
                 continue
-            _, y = level_step(p, x, g)
+            rec = me_iterate(p, x, grad_tolerance=0.0)
             fx = p.value(x)
-            assert abs(p.value(y) - fx) <= 1e-9 * max(1.0, abs(fx))
+            assert abs(p.value(rec.y) - fx) <= 1e-9 * max(1.0, abs(fx))
 
 
 class TestEllipseCenterCoeffs:
+    # The center coefficients are the delta, alpha and beta of a me_iterate
+    # record; x = (2, 1) under diag(1, 4) gives g_x = (2, 4) and
+    # g_y = (14, -92) / 17.
     def setup_method(self):
         self.p = diag_problem([1.0, 4.0])
-        self.g_x = np.array([2.0, 4.0])
-        self.g_y = np.array([14.0 / 17.0, -92.0 / 17.0])
+        self.rec = me_iterate(self.p, [2.0, 1.0])
 
     def test_hand_example(self):
-        delta, alpha, beta = ellipse_center_coeffs(self.p, self.g_x, self.g_y)
-        assert delta == pytest.approx(230400.0 / 289.0, rel=1e-12)
-        assert alpha == pytest.approx(-0.825, rel=1e-12)
-        assert beta == pytest.approx(-0.425, rel=1e-12)
+        rec = self.rec
+        np.testing.assert_allclose(rec.g_y, [14.0 / 17.0, -92.0 / 17.0], rtol=1e-14)
+        assert rec.delta == pytest.approx(230400.0 / 289.0, rel=1e-12)
+        assert rec.alpha == pytest.approx(-0.825, rel=1e-12)
+        assert rec.beta == pytest.approx(-0.425, rel=1e-12)
 
     def test_matches_two_by_two_solve(self):
-        # Independent oracle: solve the Gram system with numpy.
-        a = self.p.A.dense()
-        m = np.array(
-            [
-                [self.g_x @ a @ self.g_x, self.g_x @ a @ self.g_y],
-                [self.g_x @ a @ self.g_y, self.g_y @ a @ self.g_y],
-            ]
-        )
-        q = np.array([-(self.g_x @ self.g_x), -(self.g_x @ self.g_y)])
-        expected = np.linalg.solve(m, q)
-        _, alpha, beta = ellipse_center_coeffs(self.p, self.g_x, self.g_y)
-        np.testing.assert_allclose([alpha, beta], expected, rtol=1e-12)
+        delta, expected = gram_solve(self.p, self.rec.g_x, self.rec.g_y)
+        np.testing.assert_allclose([self.rec.alpha, self.rec.beta], expected, rtol=1e-12)
+        assert self.rec.delta == pytest.approx(delta, rel=1e-12)
 
     def test_problem_rescaling_keeps_center(self):
         # Scaling A and b by the same factor rescales both gradients but
         # leaves the level sets, and hence the center, unchanged.
         s = 2.0
         p2 = QuadraticProblem(DiagonalOperator(s * np.array([1.0, 4.0])), np.zeros(2))
-        x = np.array([2.0, 1.0])
-        d1, a1, b1 = ellipse_center_coeffs(self.p, self.g_x, self.g_y)
-        d2, a2, b2 = ellipse_center_coeffs(p2, s * self.g_x, s * self.g_y)
-        center1 = x + a1 * self.g_x + b1 * self.g_y
-        center2 = x + a2 * (s * self.g_x) + b2 * (s * self.g_y)
-        np.testing.assert_allclose(center1, center2, atol=1e-12)
-        assert a2 == pytest.approx(a1 / s, rel=1e-12)
+        rec2 = me_iterate(p2, [2.0, 1.0])
+        np.testing.assert_allclose(rec2.g_x, s * self.rec.g_x, rtol=1e-15)
+        np.testing.assert_allclose(rec2.x_next, self.rec.x_next, atol=1e-12)
+        assert rec2.alpha == pytest.approx(self.rec.alpha / s, rel=1e-12)
 
     def test_orthogonal_pair_under_identity(self):
-        p = diag_problem([1.0, 1.0])
-        delta, alpha, beta = ellipse_center_coeffs(p, [1.0, 0.0], [0.0, 1.0])
-        assert delta == pytest.approx(1.0)
+        # g_x = (1, 0), g_y = (0, 1) under the identity: the Gram matrix is I.
+        alpha, beta = _coeffs_from_gram(1.0, 0.0, 1.0, 0.0, 1.0, 1.0)
         assert alpha == pytest.approx(-1.0)
         assert beta == pytest.approx(0.0, abs=1e-15)
 
     def test_dependent_gradients_rejected(self):
-        with pytest.raises(ValueError, match="dependent"):
-            ellipse_center_coeffs(self.p, self.g_x, 3.0 * self.g_x)
+        # Under the identity g_y = -g_x: the dependence test rejects the
+        # Gram system and the step takes the midpoint branch.
+        rec = me_iterate(diag_problem([3.0, 3.0]), [1.0, 2.0])
+        assert rec.branch is Branch.MIDPOINT
+        assert rec.delta is None and rec.alpha is None and rec.beta is None
+        np.testing.assert_allclose(rec.g_y, -rec.g_x, rtol=1e-15)
 
     def test_cross_check_routes_agree(self):
+        # The kernel's Cramer solve against numpy's solve of the same system.
         rng = np.random.default_rng(21)
+        checked = 0
         for _ in range(200):
             n = int(rng.integers(2, 30))
             p = random_problem(rng, n)
-            g_x = rng.standard_normal(n)
-            g_y = rng.standard_normal(n)
-            try:
-                ellipse_center_coeffs(p, g_x, g_y, cross_check=True)
-            except ValueError:
-                pass  # dependent draw; nothing to cross-check
+            rec = me_iterate(p, rng.standard_normal(n), grad_tolerance=0.0)
+            if rec.branch is not Branch.ELLIPSE_CENTER:
+                continue
+            delta, expected = gram_solve(p, rec.g_x, rec.g_y)
+            scale = max(abs(rec.alpha), abs(rec.beta))
+            np.testing.assert_allclose([rec.alpha, rec.beta], expected, atol=1e-10 * scale)
+            assert rec.delta == pytest.approx(delta, rel=1e-10)
+            checked += 1
+        assert checked > 150
 
 
 class TestMeIterate:
