@@ -108,8 +108,12 @@ def _line_oracle(problem: QuadraticProblem, x, g_x):
     # Oracle for a line search from x, at one matvec a trial.  It returns
     # f(z) - f(x) = 1/2 (z - x)^T (g(z) + g(x)), exact for a quadratic, in
     # place of f(z): near the minimizer the decrease the Wolfe test compares
-    # falls below the rounding of f itself, and the search stalls.
+    # falls below the rounding of f itself, and the search stalls.  The
+    # search's first call is at x itself (np.asarray passes a float array
+    # through), answered from the gradient in hand without a matvec.
     def oracle(z):
+        if z is x:
+            return 0.0, g_x
         g = problem.gradient(z)
         return 0.5 * float((z - x) @ (g + g_x)), g
 
@@ -186,7 +190,6 @@ def bb_solve(
     problem: QuadraticProblem,
     x1,
     variant: BBVariant,
-    wolfe: WolfeParams = WolfeParams(),
     options: SolveOptions = SolveOptions(),
 ) -> SolverResult:
     """Barzilai-Borwein steps along d = -grad f(x) after a first Wolfe-search step.
@@ -204,7 +207,7 @@ def bb_solve(
         if x_prev is not None:
             t = bb_step_length(x - x_prev, g - g_prev, variant)
         if not np.isfinite(t) or t <= 0.0:
-            t = wolfe_search(_line_oracle(problem, x, g), x, -g, wolfe)
+            t = wolfe_search(_line_oracle(problem, x, g), x, -g)
         x_prev, g_prev = x, g
         x_next = x - t * g
         return x_next, problem.gradient(x_next), None
@@ -243,15 +246,12 @@ def fast_gradient_solve(
 
 
 def gradient_wolfe_solve(
-    problem: QuadraticProblem,
-    x1,
-    wolfe: WolfeParams = WolfeParams(),
-    options: SolveOptions = SolveOptions(),
+    problem: QuadraticProblem, x1, options: SolveOptions = SolveOptions()
 ) -> SolverResult:
     """Gradient descent with Wolfe search along d = -grad f(x)."""
 
     def step(x, g, threshold):
-        x_next = x - wolfe_search(_line_oracle(problem, x, g), x, -g, wolfe) * g
+        x_next = x - wolfe_search(_line_oracle(problem, x, g), x, -g) * g
         return x_next, problem.gradient(x_next), None
 
     return _drive(problem, x1, options, step, "gradient_wolfe")

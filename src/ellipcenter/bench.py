@@ -1,7 +1,8 @@
 """Benchmark harness: solve a method-by-instance grid and report the results.
 
 Each cell runs one solver on one instance from the shared start x1 = 0 under
-the shared stopping rule; the reported time covers the solve loop only.
+the shared stopping rule; the reported time is the CPU time of the solve call,
+instance construction excluded.
 Cells run sequentially so that two runs of the same configuration produce
 identical iteration counts and objective values row for row.
 """
@@ -9,14 +10,15 @@ identical iteration counts and objective values row for row.
 from __future__ import annotations
 
 import io
+import math
 import os
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import (
     BBVariant,
-    WolfeParams,
     bb_solve,
     cg_solve,
     fast_gradient_solve,
@@ -29,7 +31,6 @@ from .generators import (
     generate,
     instance_metadata,
     load_problem,
-    write_instance_metadata,
 )
 from .solver import EpsilonMode, SolveOptions, Termination, me_solve, write_trace_csv
 
@@ -43,9 +44,20 @@ __all__ = [
     "emit_report",
 ]
 
-METHODS = ("me", "grad", "fast", "bb-long", "bb-short", "cg", "grad-wolfe")
+# Method name -> solve call (problem, x1, options).  Each call looks its
+# solver up in this module's namespace when it runs, so a wrapper installed
+# there (a profiler or a test) sees every solve.
+METHODS = {
+    "me": lambda p, x1, o: me_solve(p, x1, o),
+    "grad": lambda p, x1, o: gradient_optimal_step_solve(p, x1, o),
+    "fast": lambda p, x1, o: fast_gradient_solve(p, x1, o),
+    "bb-long": lambda p, x1, o: bb_solve(p, x1, BBVariant(short_steps=False), o),
+    "bb-short": lambda p, x1, o: bb_solve(p, x1, BBVariant(short_steps=True), o),
+    "cg": lambda p, x1, o: cg_solve(p, x1, o),
+    "grad-wolfe": lambda p, x1, o: gradient_wolfe_solve(p, x1, o),
+}
 # grad-wolfe is opt-in; it is far too slow to be worth reporting by default.
-DEFAULT_METHODS = ("me", "grad", "fast", "bb-long", "bb-short", "cg")
+DEFAULT_METHODS = tuple(m for m in METHODS if m != "grad-wolfe")
 
 # Dense-family runs cap the fast-gradient method here unless overridden.
 FAST_GRADIENT_DENSE_CAP = 1000
@@ -62,9 +74,7 @@ class BenchConfig:
     max_iterations: int = 1_000_000
     fast_cap: int | None = None
     repetitions: int = 1
-    record_trace: bool = False
     trace_dir: str | None = None
-    wolfe: WolfeParams = field(default_factory=WolfeParams)
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
@@ -96,41 +106,16 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchReport:
+    """One row per cell, and the metadata dict of each instance in grid order."""
+
     rows: tuple
+    instances: tuple = ()
 
 
 def _materialize(instance):
-    if isinstance(instance, InstanceSpec):
-        problem = generate(instance)
-        return problem, instance_metadata(instance, problem)
-    problem = load_problem(instance)
-    bounds = problem.A.eigen_bounds()
-    meta = {
-        "family": "file",
-        "n": problem.dim,
-        "seed": None,
-        "condition_number": bounds.condition_number if bounds.exact else None,
-        "b_scale": None,
-    }
-    return problem, meta
-
-
-def _solver_call(method, problem, x1, options, wolfe):
-    if method == "me":
-        return me_solve(problem, x1, options)
-    if method == "grad":
-        return gradient_optimal_step_solve(problem, x1, options)
-    if method == "fast":
-        return fast_gradient_solve(problem, x1, options)
-    if method == "bb-long":
-        return bb_solve(problem, x1, BBVariant(short_steps=False), wolfe, options)
-    if method == "bb-short":
-        return bb_solve(problem, x1, BBVariant(short_steps=True), wolfe, options)
-    if method == "cg":
-        return cg_solve(problem, x1, options)
-    if method == "grad-wolfe":
-        return gradient_wolfe_solve(problem, x1, wolfe, options)
-    raise ValueError(f"unknown method {method!r}")
+    spec = instance if isinstance(instance, InstanceSpec) else None
+    problem = generate(spec) if spec else load_problem(instance)
+    return problem, instance_metadata(spec, problem)
 
 
 def _method_options(cfg: BenchConfig, method: str, family) -> SolveOptions:
@@ -144,76 +129,64 @@ def _method_options(cfg: BenchConfig, method: str, family) -> SolveOptions:
         epsilon=cfg.epsilon,
         epsilon_mode=cfg.epsilon_mode,
         max_iterations=max_iter,
-        record_trace=cfg.record_trace or cfg.trace_dir is not None,
+        record_trace=cfg.trace_dir is not None,
     )
 
 
-def run_benchmark(cfg: BenchConfig, metadata_sink: list | None = None) -> BenchReport:
+def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Solve every (instance, method) cell and collect one row per cell.
 
     Instance construction happens outside the timed region; with
-    ``repetitions`` > 1 each cell is re-solved and the minimum wall time is
+    ``repetitions`` > 1 each cell is re-solved and the minimum CPU time is
     reported.  A failing cell is recorded with terminated_by = "error" and
-    its exception text in ``error``, and the harness moves on.  ``metadata_sink``, when given, receives the
-    per-instance metadata dicts.
+    its exception text in ``error``, and the harness moves on.
     """
     rows = []
+    instances = []
     for instance in cfg.instances:
         problem, meta = _materialize(instance)
-        if metadata_sink is not None:
-            metadata_sink.append(meta)
+        instances.append(meta)
         x1 = np.zeros(problem.dim)
         for method in cfg.methods:
+            solve = METHODS[method]
             options = _method_options(cfg, method, meta["family"])
-            result = None
             error = None
-            best_time = None
+            cpu_time = math.inf
             for _ in range(cfg.repetitions):
+                start = time.process_time()
                 try:
-                    candidate = _solver_call(method, problem, x1, options, cfg.wolfe)
+                    result = solve(problem, x1, options)
                 except Exception as exc:  # record the cell, keep the grid going
                     error = f"{type(exc).__name__}: {exc}"
                     break
-                if best_time is None or candidate.wall_time_seconds < best_time:
-                    best_time = candidate.wall_time_seconds
-                result = candidate
+                cpu_time = min(cpu_time, time.process_time() - start)
             if error is not None:
-                rows.append(
-                    BenchRow(
-                        method=method,
-                        n=problem.dim,
-                        condition_number=meta["condition_number"],
-                        cpu_time_seconds=float("nan"),
-                        iterations=0,
-                        optimal_value=float("nan"),
-                        terminated_by="error",
-                        seed=meta["seed"],
-                        error=error,
-                    )
-                )
-                continue
-            if cfg.trace_dir is not None and result.trace is not None:
-                os.makedirs(cfg.trace_dir, exist_ok=True)
-                seed_part = meta["seed"] if meta["seed"] is not None else "file"
-                name = f"{method}_{problem.dim}_{seed_part}.csv"
-                write_trace_csv(os.path.join(cfg.trace_dir, name), result.trace)
+                cpu_time, iterations, f_final, term = math.nan, 0, math.nan, "error"
+            else:
+                iterations, f_final = result.iterations, result.f_final
+                term = result.terminated_by.value
+                if cfg.trace_dir is not None:
+                    os.makedirs(cfg.trace_dir, exist_ok=True)
+                    seed_part = meta["seed"] if meta["seed"] is not None else "file"
+                    name = f"{method}_{problem.dim}_{seed_part}.csv"
+                    write_trace_csv(os.path.join(cfg.trace_dir, name), result.trace)
             rows.append(
                 BenchRow(
                     method=method,
                     n=problem.dim,
                     condition_number=meta["condition_number"],
-                    cpu_time_seconds=best_time,
-                    iterations=result.iterations,
-                    optimal_value=result.f_final,
-                    terminated_by=result.terminated_by.value,
+                    cpu_time_seconds=cpu_time,
+                    iterations=iterations,
+                    optimal_value=f_final,
+                    terminated_by=term,
                     seed=meta["seed"],
+                    error=error,
                 )
             )
-    return BenchReport(rows=tuple(rows))
+    return BenchReport(rows=tuple(rows), instances=tuple(instances))
 
 
-_CSV_HEADER = "method,n,cond,cpu_s,iters,fval,term,seed"
-_MD_HEADER = ("method", "n", "cond", "cpu_s", "iters", "fval", "term", "seed")
+_COLUMNS = ("method", "n", "cond", "cpu_s", "iters", "fval", "term", "seed")
 
 
 def _cell(value, fmt="{:.6g}"):
@@ -246,12 +219,12 @@ def emit_report(report: BenchReport, format: str = "csv", path=None) -> str:
         raise ValueError("report has no rows")
     buf = io.StringIO()
     if format == "csv":
-        buf.write(_CSV_HEADER + "\n")
+        buf.write(",".join(_COLUMNS) + "\n")
         for row in report.rows:
             buf.write(",".join(_row_cells(row)) + "\n")
     elif format == "markdown":
-        buf.write("| " + " | ".join(_MD_HEADER) + " |\n")
-        buf.write("|" + "|".join(["---"] * len(_MD_HEADER)) + "|\n")
+        buf.write("| " + " | ".join(_COLUMNS) + " |\n")
+        buf.write("|" + "|".join(["---"] * len(_COLUMNS)) + "|\n")
         for row in report.rows:
             buf.write("| " + " | ".join(_row_cells(row)) + " |\n")
     else:

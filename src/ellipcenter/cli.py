@@ -58,7 +58,7 @@ def _parse_args(argv):
     )
     parser.add_argument("--eps", type=float, default=1e-8, help="gradient tolerance")
     parser.add_argument(
-        "--eps-mode", choices=["abs", "rel"], default="rel",
+        "--eps-mode", choices=[m.value for m in EpsilonMode], default="rel",
         help="absolute threshold, or relative to the initial gradient norm",
     )
     parser.add_argument(
@@ -91,14 +91,12 @@ def _build_instances(args):
         raise SystemExit(f"--n must be a comma-separated list of integers, got {args.n!r}")
     instances = []
     for item in args.instance:
-        if item == "diag":
-            family = InstanceFamily.DIAGONAL_ILL_CONDITIONED
-        elif item == "dense":
-            family = InstanceFamily.DENSE_RANK_ONE
-        elif item.startswith("file:"):
+        if item.startswith("file:"):
             instances.append(item[len("file:"):])
             continue
-        else:
+        try:
+            family = InstanceFamily(item)
+        except ValueError:
             raise SystemExit(
                 f"unknown --instance {item!r}; expected diag, dense or file:PATH"
             )
@@ -112,13 +110,12 @@ def _build_instances(args):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     methods = tuple(m for m in args.methods.split(",") if m)
-    mode = EpsilonMode.ABSOLUTE if args.eps_mode == "abs" else EpsilonMode.RELATIVE_TO_INITIAL
     try:
         cfg = BenchConfig(
             instances=tuple(_build_instances(args)),
             methods=methods,
             epsilon=args.eps,
-            epsilon_mode=mode,
+            epsilon_mode=EpsilonMode(args.eps_mode),
             max_iterations=args.max_iters,
             fast_cap=args.fast_cap,
             repetitions=args.reps,
@@ -127,13 +124,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}")
 
-    metadata = []
-    report = run_benchmark(cfg, metadata_sink=metadata)
+    report = run_benchmark(cfg)
     text = emit_report(report, format=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     else:
-        write_instance_metadata(f"{args.out}.instances.jsonl", metadata)
+        write_instance_metadata(f"{args.out}.instances.jsonl", report.instances)
     return 0 if all_converged(report) else 1
 
 

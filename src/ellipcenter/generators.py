@@ -99,25 +99,23 @@ class InstanceFamily(Enum):
     DENSE_RANK_ONE = "dense"
 
 
+# The two families as the module docstring defines them.
+_DIAG_FIRST = 1.0
+_DIAG_LAST = 50000.0
+_DIAG_LO = 10
+_DIAG_HI = 49900
+_SIGMA = 10.0
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Recipe for one generated instance.
-
-    The diag_* fields apply to the diagonal family, sigma/v_lo/v_hi to the
-    dense rank-one family.
-    """
+    """Recipe for one generated instance: the family fixes the operator's
+    distribution, ``b_scale`` the range of b."""
 
     family: InstanceFamily
     n: int
     seed: int
     b_scale: float = 1000.0
-    diag_first: float = 1.0
-    diag_last: float = 50000.0
-    diag_lo: int = 10
-    diag_hi: int = 49900
-    sigma: float = 10.0
-    v_lo: float = 0.0
-    v_hi: float = 1.0
 
     def __post_init__(self):
         if self.family is InstanceFamily.DIAGONAL_ILL_CONDITIONED and self.n < 2:
@@ -128,20 +126,16 @@ class InstanceSpec:
             raise ValueError("b_scale must be positive")
 
 
-def _gen_b(rng: SplitMix64, spec: InstanceSpec) -> np.ndarray:
-    return spec.b_scale * rng.floats(spec.n)
-
-
 def gen_diagonal(spec: InstanceSpec) -> QuadraticProblem:
     """Diagonal instance: fixed extreme entries, integer interior, random b."""
     if spec.family is not InstanceFamily.DIAGONAL_ILL_CONDITIONED:
         raise ValueError(f"spec family is {spec.family}, expected DIAGONAL_ILL_CONDITIONED")
     rng = SplitMix64(spec.seed)
     diag = np.empty(spec.n)
-    diag[0] = spec.diag_first
-    diag[-1] = spec.diag_last
-    diag[1:-1] = rng.ints(spec.diag_lo, spec.diag_hi, spec.n - 2).astype(float)
-    b = _gen_b(rng, spec)
+    diag[0] = _DIAG_FIRST
+    diag[-1] = _DIAG_LAST
+    diag[1:-1] = rng.ints(_DIAG_LO, _DIAG_HI, spec.n - 2).astype(float)
+    b = spec.b_scale * rng.floats(spec.n)
     return QuadraticProblem(DiagonalOperator(diag), b)
 
 
@@ -150,9 +144,9 @@ def gen_dense_rank_one(spec: InstanceSpec) -> QuadraticProblem:
     if spec.family is not InstanceFamily.DENSE_RANK_ONE:
         raise ValueError(f"spec family is {spec.family}, expected DENSE_RANK_ONE")
     rng = SplitMix64(spec.seed)
-    v = spec.v_lo + (spec.v_hi - spec.v_lo) * rng.floats(spec.n)
-    b = _gen_b(rng, spec)
-    return QuadraticProblem(RankOneOperator(v, spec.sigma), b)
+    v = rng.floats(spec.n)
+    b = spec.b_scale * rng.floats(spec.n)
+    return QuadraticProblem(RankOneOperator(v, _SIGMA), b)
 
 
 def generate(spec: InstanceSpec) -> QuadraticProblem:
@@ -161,14 +155,14 @@ def generate(spec: InstanceSpec) -> QuadraticProblem:
     return gen_dense_rank_one(spec)
 
 
-def instance_metadata(spec: InstanceSpec, problem: QuadraticProblem) -> dict:
-    bounds = problem.A.eigen_bounds()
+def instance_metadata(spec: InstanceSpec | None, problem: QuadraticProblem) -> dict:
+    """Metadata of one instance; ``spec`` None means a problem loaded from a file."""
     return {
-        "family": spec.family.value,
-        "n": spec.n,
-        "seed": spec.seed,
-        "condition_number": bounds.condition_number,
-        "b_scale": spec.b_scale,
+        "family": spec.family.value if spec else "file",
+        "n": problem.dim,
+        "seed": spec.seed if spec else None,
+        "condition_number": problem.A.eigen_bounds().condition_number,
+        "b_scale": spec.b_scale if spec else None,
     }
 
 

@@ -60,17 +60,12 @@ class SolveOptions:
     """Stopping rule and iteration controls shared by all solvers.
 
     ``epsilon`` bounds the gradient norm; in RELATIVE_TO_INITIAL mode the
-    effective threshold is epsilon * ||grad f(x1)||.  ``dependence_tolerance``
-    scales the test that declares the two gradients parallel: they count as
-    dependent when the Gram determinant is at most tolerance * ||g_x||_A^2 *
-    ||g_y||_A^2, which makes the test invariant under rescaling of either
-    gradient.
+    effective threshold is epsilon * ||grad f(x1)||.
     """
 
     epsilon: float = 1e-8
     epsilon_mode: EpsilonMode = EpsilonMode.RELATIVE_TO_INITIAL
     max_iterations: int = 1_000_000
-    dependence_tolerance: float = 1e-12
     record_trace: bool = False
 
     def __post_init__(self):
@@ -78,8 +73,6 @@ class SolveOptions:
             raise ValueError("epsilon must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.dependence_tolerance < 0.0:
-            raise ValueError("dependence_tolerance must be nonnegative")
 
     def gradient_threshold(self, initial_grad_norm: float) -> float:
         if self.epsilon_mode is EpsilonMode.ABSOLUTE:
@@ -176,11 +169,17 @@ def _level_length(gg: float, m11: float) -> float:
     return t
 
 
-def _gram_delta(m11: float, m12: float, m22: float, dependence_tolerance: float):
+# The two gradients g_x and g_y count as parallel when their Gram determinant
+# in the energy product is at most this times ||g_x||_A^2 ||g_y||_A^2, a test
+# invariant under rescaling of either gradient.
+_DEPENDENCE_TOLERANCE = 1e-12
+
+
+def _gram_delta(m11: float, m12: float, m22: float):
     # Gram determinant of (g_x, g_y) in the energy product, or None when the
     # two gradients count as dependent and the midpoint branch applies.
     delta = m11 * m22 - m12 * m12
-    return delta if delta > dependence_tolerance * m11 * m22 else None
+    return delta if delta > _DEPENDENCE_TOLERANCE * m11 * m22 else None
 
 
 def _combine(base, alpha, u, beta, v, tmp):
@@ -251,7 +250,7 @@ def me_iterate(
     ag_y = problem.A.matvec(g_y)
     m12 = float(g_x @ ag_y)
     m22 = float(g_y @ ag_y)
-    delta = _gram_delta(m11, m12, m22, options.dependence_tolerance)
+    delta = _gram_delta(m11, m12, m22)
 
     if delta is not None:
         alpha, beta = _coeffs_from_gram(gg, float(g_x @ g_y), m11, m12, m22, delta)

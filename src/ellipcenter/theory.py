@@ -36,6 +36,9 @@ __all__ = [
 _RATE_TOLERANCE = 1e-10
 # Direct dense solves for the reference minimum stay affordable up to here.
 _DENSE_SOLVE_LIMIT = 2000
+# Doublings of level_point_bisection's trial step before the oracle counts
+# as not coercive.
+_MAX_EXPANSIONS = 200
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def dominance_check(problem: QuadraticProblem, x):
     return f_me, problem.value(x_grad)
 
 
-def level_point_bisection(oracle, x, tol, max_expansions: int = 200):
+def level_point_bisection(oracle, x, tol):
     """Find t > 0 with f(x - t g) = f(x) for a strongly convex oracle.
 
     ``oracle(x)`` returns ``(value, gradient)``.  The trial step doubles from
@@ -202,7 +205,7 @@ def level_point_bisection(oracle, x, tol, max_expansions: int = 200):
     while phi(hi) <= f0:
         hi *= 2.0
         expansions += 1
-        if expansions > max_expansions:
+        if expansions > _MAX_EXPANSIONS:
             raise RuntimeError(
                 "objective never exceeded its starting value along the ray; "
                 "the oracle is not coercive (not strongly convex)"

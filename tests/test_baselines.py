@@ -8,6 +8,7 @@ from conftest import CountingOperator
 from ellipcenter.baselines import (
     BBVariant,
     WolfeParams,
+    _line_oracle,
     bb_solve,
     bb_step_length,
     cg_solve,
@@ -185,6 +186,31 @@ class TestWolfeSearch:
                 self._oracle_half_square, np.array([10.0]), np.array([-1.0]), params
             )
         assert t == 4.0
+
+    def test_line_oracle_makes_one_matvec_a_trial(self):
+        # The search's first call is at x, whose gradient the solver already
+        # holds; only the trial points after it cost a matvec.
+        rng = np.random.default_rng(47)
+        most_trials = 0
+        for _ in range(20):
+            base = random_spd_problem(rng, int(rng.integers(2, 10)))
+            op = CountingOperator(base.A)
+            p = QuadraticProblem(op, base.b)
+            x = rng.standard_normal(p.dim)
+            g = p.gradient(x)
+            oracle = _line_oracle(p, x, g)
+            points = []
+
+            def counted(z):
+                points.append(z)
+                return oracle(z)
+
+            op.calls = 0
+            wolfe_search(counted, x, -g)
+            assert points[0] is x
+            assert op.calls == len(points) - 1
+            most_trials = max(most_trials, len(points) - 1)
+        assert most_trials > 1
 
 
 class TestBarzilaiBorwein:

@@ -1,32 +1,44 @@
 import csv
 import io
 import math
+import time
 
 import numpy as np
 import pytest
 
+from conftest import CountingOperator
+
+import ellipcenter.bench as bench
+from ellipcenter.baselines import BBVariant
 from ellipcenter.bench import (
     BenchConfig,
     DEFAULT_METHODS,
+    METHODS,
     all_converged,
     emit_report,
     run_benchmark,
 )
-from ellipcenter.generators import InstanceFamily, InstanceSpec
-from ellipcenter.solver import EpsilonMode
+from ellipcenter.generators import InstanceFamily, InstanceSpec, SplitMix64, save_problem
+from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
+from ellipcenter.solver import EpsilonMode, SolveOptions
 
 
 def diag_spec(n, seed=1, **kw):
     return InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, n, seed, **kw)
 
 
-def mild_diag_spec(n, seed=1):
+def mild_diag_file(tmp_path, n, seed=1):
     # Condition number 100 instead of 50000 keeps harness tests quick; the
-    # rate of every solver here is conditioning-bound, not size-bound.
-    return InstanceSpec(
-        InstanceFamily.DIAGONAL_ILL_CONDITIONED, n, seed,
-        diag_first=1.0, diag_last=100.0, diag_lo=2, diag_hi=90,
-    )
+    # rate of every solver here is conditioning-bound, not size-bound.  Drawn
+    # as the diag family is, with entries 1 and 100 at the ends and interior
+    # integers on [2, 90]; written as a problem file.
+    rng = SplitMix64(seed)
+    diag = np.empty(n)
+    diag[0], diag[-1] = 1.0, 100.0
+    diag[1:-1] = rng.ints(2, 90, n - 2).astype(float)
+    path = tmp_path / f"mild_diag_{n}_{seed}.txt"
+    save_problem(QuadraticProblem(DiagonalOperator(diag), 1000.0 * rng.floats(n)), path)
+    return path
 
 
 def dense_spec(n, seed=1, **kw):
@@ -56,9 +68,9 @@ class TestConfigValidation:
 
 
 class TestRunBenchmark:
-    def test_grid_shape_and_agreement(self):
+    def test_grid_shape_and_agreement(self, tmp_path):
         cfg = BenchConfig(
-            instances=(dense_spec(30, seed=2), mild_diag_spec(20, seed=3)),
+            instances=(dense_spec(30, seed=2), mild_diag_file(tmp_path, 20, seed=3)),
             methods=("me", "cg", "grad", "bb-short"),
         )
         report = run_benchmark(cfg)
@@ -83,9 +95,9 @@ class TestRunBenchmark:
         )
         assert row.cpu_time_seconds >= 0.0
 
-    def test_determinism(self):
+    def test_determinism(self, tmp_path):
         cfg = BenchConfig(
-            instances=(mild_diag_spec(50, seed=4), dense_spec(40, seed=5)),
+            instances=(mild_diag_file(tmp_path, 50, seed=4), dense_spec(40, seed=5)),
             methods=("me", "cg", "bb-long", "fast"),
         )
         first = run_benchmark(cfg)
@@ -169,11 +181,9 @@ class TestRunBenchmark:
         assert rows and rows[0]["branch"] == ""
         assert rows[0]["t"] == rows[0]["delta"] == rows[0]["alpha"] == ""
 
-    def test_metadata_sink(self):
-        sink = []
+    def test_metadata_sink(self, tmp_path):
         cfg = BenchConfig(instances=(diag_spec(10, seed=2),), methods=("cg",))
-        run_benchmark(cfg, metadata_sink=sink)
-        assert sink == [
+        assert list(run_benchmark(cfg).instances) == [
             {
                 "family": "diag",
                 "n": 10,
@@ -182,6 +192,71 @@ class TestRunBenchmark:
                 "b_scale": 1000.0,
             }
         ]
+        # A file instance reports its family as "file", with no seed or
+        # b_scale; a dense file has no exact condition number.
+        dense = tmp_path / "dense.txt"
+        dense.write_text("dense 2\n2 0\n0 1\nb\n1 1\n")
+        cfg = BenchConfig(
+            instances=(mild_diag_file(tmp_path, 5), str(dense)), methods=("cg",)
+        )
+        assert list(run_benchmark(cfg).instances) == [
+            {"family": "file", "n": 5, "seed": None, "condition_number": 100.0,
+             "b_scale": None},
+            {"family": "file", "n": 2, "seed": None, "condition_number": None,
+             "b_scale": None},
+        ]
+
+    def test_cpu_s_is_cpu_time(self, monkeypatch):
+        # The cg solve sleeps 0.2 s inside its loop: wall time the process
+        # does not spend on the CPU, so cpu_s leaves it out.
+        real_cg = bench.cg_solve
+        walls = []
+
+        class SleepingOperator(CountingOperator):
+            def matvec(self, v):
+                if self.calls == 1:  # the first matvec after x1's gradient
+                    time.sleep(0.2)
+                return super().matvec(v)
+
+        def sleeping_cg(problem, x1, options):
+            slow = QuadraticProblem(SleepingOperator(problem.A), problem.b, problem.c)
+            result = real_cg(slow, x1, options)
+            walls.append(result.wall_time_seconds)
+            return result
+
+        monkeypatch.setattr(bench, "cg_solve", sleeping_cg)
+        cfg = BenchConfig(instances=(dense_spec(10, seed=4),), methods=("cg",))
+        row = run_benchmark(cfg).rows[0]
+        assert walls[0] >= 0.2
+        assert row.terminated_by == "gradient_tolerance"
+        assert 0.0 <= row.cpu_time_seconds < 0.1
+
+
+def test_every_solve_goes_through_module_names(monkeypatch):
+    # A profiler that replaces a solver name in ellipcenter.bench must see
+    # every solve, and can read the BB variant from the first positional
+    # argument after x1.
+    calls = []
+    names = ("me_solve", "gradient_optimal_step_solve", "fast_gradient_solve",
+             "bb_solve", "cg_solve", "gradient_wolfe_solve")
+    for name in names:
+        def recording(problem, x1, *args, _name=name, _real=getattr(bench, name)):
+            calls.append((_name, args))
+            return _real(problem, x1, *args)
+
+        monkeypatch.setattr(bench, name, recording)
+    cfg = BenchConfig(instances=(dense_spec(8, seed=3),), methods=tuple(METHODS))
+    report = run_benchmark(cfg)
+    assert len(report.rows) == len(METHODS) == 7
+    assert [name for name, _ in calls] == [
+        "me_solve", "gradient_optimal_step_solve", "fast_gradient_solve",
+        "bb_solve", "bb_solve", "cg_solve", "gradient_wolfe_solve",
+    ]
+    bb_args = [args for name, args in calls if name == "bb_solve"]
+    assert [args[0] for args in bb_args] == [
+        BBVariant(short_steps=False), BBVariant(short_steps=True)
+    ]
+    assert all(isinstance(args[-1], SolveOptions) for _, args in calls)
 
 
 def _problem_v(n, seed):

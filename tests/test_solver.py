@@ -405,10 +405,6 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
 
-    def test_bad_dependence_tolerance(self):
-        with pytest.raises(ValueError):
-            SolveOptions(dependence_tolerance=-1.0)
-
 
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(30)
