@@ -94,7 +94,7 @@ class BenchConfig:
 class BenchRow:
     method: str
     n: int
-    condition_number: float | None
+    condition_number: float
     cpu_time_seconds: float
     iterations: int
     optimal_value: float
@@ -143,7 +143,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """
     rows = []
     instances = []
-    for instance in cfg.instances:
+    for position, instance in enumerate(cfg.instances):
         problem, meta = _materialize(instance)
         instances.append(meta)
         x1 = np.zeros(problem.dim)
@@ -167,8 +167,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                 term = result.terminated_by.value
                 if cfg.trace_dir is not None:
                     os.makedirs(cfg.trace_dir, exist_ok=True)
-                    seed_part = meta["seed"] if meta["seed"] is not None else "file"
-                    name = f"{method}_{problem.dim}_{seed_part}.csv"
+                    # The grid position keeps names apart when two instances
+                    # share a family and size, such as two problem files.
+                    name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
                     write_trace_csv(os.path.join(cfg.trace_dir, name), result.trace)
             rows.append(
                 BenchRow(

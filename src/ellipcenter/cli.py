@@ -23,7 +23,12 @@ from .bench import (
     emit_report,
     run_benchmark,
 )
-from .generators import InstanceFamily, InstanceSpec, write_instance_metadata
+from .generators import (
+    InstanceFamily,
+    InstanceSpec,
+    ProblemFormatError,
+    write_instance_metadata,
+)
 from .solver import EpsilonMode
 
 
@@ -124,7 +129,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}")
 
-    report = run_benchmark(cfg)
+    try:
+        report = run_benchmark(cfg)
+    except ProblemFormatError as exc:
+        raise SystemExit(f"problem file {exc.filename}: {exc}")
     text = emit_report(report, format=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

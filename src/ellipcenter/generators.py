@@ -174,7 +174,10 @@ def write_instance_metadata(path, records) -> None:
 
 
 class ProblemFormatError(ValueError):
-    """Malformed problem file; the message carries the offending line number."""
+    """Malformed problem file; the message carries the offending line number
+    and ``filename`` names the file."""
+
+    filename = None
 
 
 def _tokenize(lines):
@@ -206,10 +209,31 @@ def _take_floats(tokens, pos, count, section, last_line):
     return values, pos, last_line
 
 
+def _checked(lineno, build, *args):
+    # A value the operator or problem rejects is a format error at the last
+    # line of the section it came from.
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ProblemFormatError(f"line {lineno}: {exc}") from None
+
+
 def load_problem(path) -> QuadraticProblem:
-    """Parse a problem file in the format documented in the module docstring."""
+    """Parse a problem file in the format documented in the module docstring.
+
+    Every value the operators and ``QuadraticProblem`` reject is reported as
+    a ``ProblemFormatError`` with a line number and ``filename`` set to path.
+    """
     with open(path) as fh:
         tokens = _tokenize(fh)
+    try:
+        return _parse(tokens)
+    except ProblemFormatError as exc:
+        exc.filename = str(path)
+        raise
+
+
+def _parse(tokens) -> QuadraticProblem:
     if not tokens:
         raise ProblemFormatError("line 1: empty problem file")
 
@@ -242,17 +266,13 @@ def load_problem(path) -> QuadraticProblem:
     last_line = header_line
     if kind == "diag":
         entries, pos, last_line = _take_floats(tokens, pos, n, "diagonal", last_line)
-        if not np.all(entries > 0.0):
-            raise ProblemFormatError(
-                f"line {last_line}: diagonal entries must be strictly positive"
-            )
-        operator = DiagonalOperator(entries)
+        operator = _checked(last_line, DiagonalOperator, entries)
     elif kind == "dense":
         entries, pos, last_line = _take_floats(tokens, pos, n * n, "matrix", last_line)
-        operator = DenseOperator(entries.reshape(n, n))
+        operator = _checked(last_line, DenseOperator, entries.reshape(n, n))
     else:
         entries, pos, last_line = _take_floats(tokens, pos, n, "v", last_line)
-        operator = RankOneOperator(entries, sigma)
+        operator = _checked(last_line, RankOneOperator, entries, sigma)
 
     if pos >= len(tokens) or tokens[pos][0] != "b":
         found = tokens[pos][0] if pos < len(tokens) else "end of file"
@@ -261,17 +281,17 @@ def load_problem(path) -> QuadraticProblem:
     last_line = tokens[pos][1]
     pos += 1
     b, pos, last_line = _take_floats(tokens, pos, n, "b", last_line)
+    problem = _checked(last_line, QuadraticProblem, operator, b)
 
-    c = 0.0
     if pos < len(tokens) and tokens[pos][0] == "c":
         last_line = tokens[pos][1]
         pos += 1
         values, pos, last_line = _take_floats(tokens, pos, 1, "c", last_line)
-        c = float(values[0])
+        problem = _checked(last_line, QuadraticProblem, operator, b, values[0])
     if pos != len(tokens):
         tok, lineno = tokens[pos]
         raise ProblemFormatError(f"line {lineno}: unexpected trailing token {tok!r}")
-    return QuadraticProblem(operator, b, c)
+    return problem
 
 
 def save_problem(problem: QuadraticProblem, path) -> None:

@@ -123,8 +123,6 @@ def linear_rate_check(
     numerically stable energy-norm errors (same quantity by the identity
     f(x) - f* = 1/2 ||x - x*||_A^2) computed from the recorded iterates.
     """
-    if bounds.lambda_min is None:
-        raise ValueError("rate check needs a lambda_min; bounds are inexact")
     eta = 1.0 - bounds.lambda_min / bounds.lambda_max
     sharp = (
         (bounds.lambda_max - bounds.lambda_min)

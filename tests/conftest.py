@@ -1,3 +1,12 @@
+import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+
 class CountingOperator:
     """Delegates to an operator and counts its matvecs."""
 
@@ -15,6 +24,23 @@ class CountingOperator:
 
     def eigen_bounds(self):
         return self.op.eigen_bounds()
+
+
+class IndefiniteOperator:
+    """The symmetric indefinite diag(d), which no library operator accepts.
+
+    It reaches the solvers' own checks on the energy norm and cg's breakdown.
+    """
+
+    def __init__(self, diag):
+        self.diag = np.asarray(diag, dtype=float)
+
+    @property
+    def dim(self):
+        return self.diag.shape[0]
+
+    def matvec(self, v):
+        return self.diag * v
 
 
 ACCEPTANCE_LINES = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CountingOperator
+from conftest import CountingOperator, IndefiniteOperator
 
 from ellipcenter.baselines import (
     BBVariant,
@@ -136,7 +136,7 @@ class TestConjugateGradient:
             assert result.iterations <= n + 2
 
     def test_breakdown_on_indefinite_operator(self):
-        p = QuadraticProblem(DenseOperator([[1.0, 0.0], [0.0, -1.0]]), [1.0, 1.0])
+        p = QuadraticProblem(IndefiniteOperator([1.0, -1.0]), [1.0, 1.0])
         with pytest.raises(RuntimeError, match="breakdown"):
             cg_solve(p, np.zeros(2))
 

@@ -140,10 +140,11 @@ class TestRunBenchmark:
         assert report.rows[0].iterations == 37
 
     def test_error_cell_recorded_and_grid_continues(self, tmp_path):
-        # A symmetric indefinite file instance breaks the solvers; the row
-        # records the failure and the next cells still run.
-        bad = tmp_path / "indefinite.txt"
-        bad.write_text("dense 2\n1 0\n0 -1\nb\n1 1\n")
+        # A file instance whose gradient overflows at x1 = 0 loads but breaks
+        # every solver; the row records the failure and the next cells still
+        # run.
+        bad = tmp_path / "overflow.txt"
+        bad.write_text("diag 2\n1 2\nb\n1e200 1e200\n")
         cfg = BenchConfig(
             instances=(str(bad), dense_spec(10, seed=8)),
             methods=("cg", "me"),
@@ -151,11 +152,8 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert len(report.rows) == 4
         assert report.rows[0].terminated_by == "error"
-        assert report.rows[0].error == (
-            "RuntimeError: cg: breakdown <d, A d> = 0.0; operator is not "
-            "positive definite or rounding destroyed conjugacy"
-        )
-        assert report.rows[1].error.startswith("ValueError: gradient energy norm")
+        assert report.rows[0].error == "RuntimeError: cg: gradient norm is inf; aborting"
+        assert report.rows[1].error == "RuntimeError: me: gradient norm is inf; aborting"
         assert math.isnan(report.rows[0].optimal_value)
         assert report.rows[0].seed is None
         assert report.rows[2].terminated_by == "gradient_tolerance"
@@ -170,8 +168,8 @@ class TestRunBenchmark:
             trace_dir=str(trace_dir),
         )
         run_benchmark(cfg)
-        me_trace = trace_dir / "me_12_3.csv"
-        cg_trace = trace_dir / "cg_12_3.csv"
+        me_trace = trace_dir / "me_dense_12_0.csv"
+        cg_trace = trace_dir / "cg_dense_12_0.csv"
         assert me_trace.exists() and cg_trace.exists()
         with open(me_trace) as fh:
             rows = list(csv.DictReader(fh))
@@ -180,6 +178,28 @@ class TestRunBenchmark:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["branch"] == ""
         assert rows[0]["t"] == rows[0]["delta"] == rows[0]["alpha"] == ""
+
+    def test_trace_names_unique_per_cell(self, tmp_path):
+        # Two files of one size, and a diag and a dense instance of one size
+        # and seed, each get their own trace file, holding their own run.
+        small = tmp_path / "small.txt"
+        small.write_text("diag 3\n1 5 25\nb\n1 2 3\n")
+        trace_dir = tmp_path / "traces"
+        cfg = BenchConfig(
+            instances=(
+                str(mild_diag_file(tmp_path, 3)), str(small),
+                diag_spec(20, seed=0), dense_spec(20, seed=0),
+            ),
+            methods=("me",),
+            trace_dir=str(trace_dir),
+        )
+        report = run_benchmark(cfg)
+        names = ["me_file_3_0.csv", "me_file_3_1.csv", "me_diag_20_2.csv",
+                 "me_dense_20_3.csv"]
+        assert sorted(p.name for p in trace_dir.iterdir()) == sorted(names)
+        for name, row in zip(names, report.rows):
+            with open(trace_dir / name) as fh:
+                assert len(list(csv.DictReader(fh))) == row.iterations
 
     def test_metadata_sink(self, tmp_path):
         cfg = BenchConfig(instances=(diag_spec(10, seed=2),), methods=("cg",))
@@ -193,7 +213,7 @@ class TestRunBenchmark:
             }
         ]
         # A file instance reports its family as "file", with no seed or
-        # b_scale; a dense file has no exact condition number.
+        # b_scale.
         dense = tmp_path / "dense.txt"
         dense.write_text("dense 2\n2 0\n0 1\nb\n1 1\n")
         cfg = BenchConfig(
@@ -202,7 +222,7 @@ class TestRunBenchmark:
         assert list(run_benchmark(cfg).instances) == [
             {"family": "file", "n": 5, "seed": None, "condition_number": 100.0,
              "b_scale": None},
-            {"family": "file", "n": 2, "seed": None, "condition_number": None,
+            {"family": "file", "n": 2, "seed": None, "condition_number": 2.0,
              "b_scale": None},
         ]
 

@@ -89,7 +89,7 @@ def test_trace_dir(tmp_path):
         ["--instance", "dense", "--n", "10", "--seed", "2", "--methods", "me",
          "--out", str(out), "--trace-dir", str(traces)]
     )
-    assert (traces / "me_10_2.csv").exists()
+    assert (traces / "me_dense_10_0.csv").exists()
 
 
 def test_deterministic_rows_across_runs(tmp_path):
@@ -112,6 +112,17 @@ def test_deterministic_rows_across_runs(tmp_path):
 def test_bad_instance_rejected():
     with pytest.raises(SystemExit):
         main(["--instance", "sparse"])
+
+
+def test_bad_problem_file_names_file(tmp_path):
+    bad = tmp_path / "indefinite.txt"
+    bad.write_text("dense 2\n1 0\n0 -1\nb\n1 1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", f"file:{bad}", "--methods", "me"])
+    assert str(info.value) == (
+        f"problem file {bad}: line 3: matrix must be positive definite, "
+        "smallest eigenvalue is -1.0"
+    )
 
 
 def test_bad_n_rejected():

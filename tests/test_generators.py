@@ -72,7 +72,6 @@ class TestDiagonalFamily:
             bounds = p.A.eigen_bounds()
             assert bounds.lambda_min == 1.0
             assert bounds.lambda_max == 50000.0
-            assert bounds.exact
 
     def test_interior_entries_are_integers_in_range(self):
         p = gen_diagonal(self.spec(100, seed=42))
@@ -225,6 +224,26 @@ class TestLoadProblem:
         path = self.write(tmp_path, "diag 2\n1 oops\nb\n0 0\n")
         with pytest.raises(ProblemFormatError, match="line 2"):
             load_problem(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dense 2\n1 0\n0 -1\nb\n1 1\n",
+             "line 3: matrix must be positive definite, smallest eigenvalue is -1.0"),
+            ("rank1 2 -1\n1 1\nb\n1 1\n",
+             "line 2: sigma must be finite and strictly positive"),
+            ("diag 2\n1 2\nb\n1\ninf\nc 3\n", "line 5: b must be finite, entry 1 is inf"),
+            ("diag 2\n1 2\nb\n1 1\nc nan\n", "line 5: c must be finite, got nan"),
+        ],
+    )
+    def test_rejected_values_fail_at_load(self, tmp_path, text, message):
+        # Values the operator or the problem rejects fail at load, at the
+        # last line of their section, and the error names the file.
+        path = self.write(tmp_path, text)
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(path)
+        assert str(info.value) == message
+        assert info.value.filename == str(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = self.write(tmp_path, "diag 2\n1 4\nb\n0 0\nextra\n")

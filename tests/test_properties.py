@@ -1,0 +1,114 @@
+"""Property sweeps over small problems from all three operators."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ellipcenter.quadratic import (
+    DenseOperator,
+    DiagonalOperator,
+    QuadraticProblem,
+    RankOneOperator,
+)
+from ellipcenter.solver import Branch, me_iterate
+from ellipcenter.theory import reference_minimum
+
+
+def vectors(n, lo, hi):
+    return arrays(np.float64, n, elements=st.floats(lo, hi))
+
+
+@st.composite
+def operators(draw, kinds=("diag", "rank1", "dense"), min_n=1):
+    n = draw(st.integers(min_n, 8))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "diag":
+        return DiagonalOperator(draw(vectors(n, 0.1, 100.0)))
+    if kind == "rank1":
+        return RankOneOperator(draw(vectors(n, -10.0, 10.0)), draw(st.floats(0.1, 100.0)))
+    r = draw(arrays(np.float64, (n, n), elements=st.floats(-10.0, 10.0)))
+    return DenseOperator(r @ r.T + draw(st.floats(0.1, 100.0)) * np.eye(n))
+
+
+@st.composite
+def problems(draw, **kwargs):
+    op = draw(operators(**kwargs))
+    b = draw(vectors(op.dim, -10.0, 10.0))
+    x = draw(vectors(op.dim, -10.0, 10.0))
+    return QuadraticProblem(op, b), x
+
+
+def value_scale(p, z):
+    # The sum of the magnitudes of the terms of f(z), which bounds the
+    # rounding of a computed value.
+    return 0.5 * abs(p.a_inner(z, z)) + abs(p.b @ z) + abs(p.c)
+
+
+def cg_two_steps(p, x):
+    """Two conjugate-gradient steps from x, written out as the textbook has them."""
+    g = p.gradient(x)
+    d = -g
+    for _ in range(2):
+        ad = p.A.matvec(d)
+        step = (g @ g) / (d @ ad)
+        x = x + step * d
+        g_next = g + step * ad
+        d = -g_next + (g_next @ g_next) / (g @ g) * d
+        g = g_next
+    return x
+
+
+@given(operators())
+def test_eigen_bounds_are_extreme_eigenvalues(op):
+    w = np.linalg.eigvalsh(op.dense())
+    bounds = op.eigen_bounds()
+    assert bounds.lambda_min == pytest.approx(w[0], rel=0.0, abs=1e-12 * w[-1])
+    assert bounds.lambda_max == pytest.approx(w[-1], rel=1e-12)
+
+
+@given(
+    arrays(np.float64, st.integers(1, 8).map(lambda n: (n, n)),
+           elements=st.floats(-10.0, 10.0)),
+    st.floats(0.0, 10.0),
+)
+def test_dense_accepts_exactly_positive_definite(r, shift):
+    # Shifting a symmetric matrix by its smallest eigenvalue plus `shift`
+    # puts that eigenvalue at about -shift: on the boundary, or below it.
+    sym = r + r.T
+    m = sym - (np.linalg.eigvalsh(sym)[0] + shift) * np.eye(len(sym))
+    smallest = float(np.linalg.eigvalsh(m)[0])
+    if smallest <= 0.0:
+        with pytest.raises(ValueError, match=f"smallest eigenvalue is {smallest!r}$"):
+            DenseOperator(m)
+    else:
+        assert DenseOperator(m).eigen_bounds().lambda_min == smallest
+
+
+@given(problems())
+def test_level_point_on_level_set(case):
+    p, x = case
+    assume(np.any(p.gradient(x) != 0.0))
+    y = me_iterate(p, x, grad_tolerance=0.0).y
+    tol = 1e-12 * (value_scale(p, x) + value_scale(p, y))
+    assert abs(p.value(y) - p.value(x)) <= tol
+
+
+@given(problems(kinds=("diag", "dense"), min_n=3))
+def test_center_is_two_cg_steps(case):
+    # Both points minimize f over x + span{g, Ag}.  A rank-one operator has
+    # two distinct eigenvalues, so there both land on x* itself and the
+    # relative comparison below measures rounding only.
+    p, x = case
+    assume(np.any(p.gradient(x) != 0.0))
+    rec = me_iterate(p, x, grad_tolerance=0.0)
+    assume(rec.branch is Branch.ELLIPSE_CENTER)
+    # Robustly independent: the energy-angle between g_x and g_y is far from
+    # zero, and the center is far from x*, so the plane is well determined.
+    m11, m22 = p.a_inner(rec.g_x, rec.g_x), p.a_inner(rec.g_y, rec.g_y)
+    assume(rec.delta >= 1e-2 * m11 * m22)
+    x_star, _ = reference_minimum(p)
+    err = np.linalg.norm(rec.x_next - x_star)
+    assume(err >= 1e-2 * np.linalg.norm(x - x_star))
+    assert np.linalg.norm(rec.x_next - cg_two_steps(p, x)) <= 1e-10 * err

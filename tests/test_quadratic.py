@@ -81,6 +81,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             DenseOperator([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "matrix, smallest",
+        [([[1.0, 0.0], [0.0, -1.0]], "-1.0"), ([[1.0, 0.0], [0.0, 0.0]], "0.0")],
+    )
+    def test_indefinite_dense_rejected(self, matrix, smallest):
+        with pytest.raises(
+            ValueError, match=f"positive definite, smallest eigenvalue is {smallest}"
+        ):
+            DenseOperator(matrix)
+
     def test_nonsquare_dense_rejected(self):
         with pytest.raises(ValueError):
             DenseOperator([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
@@ -172,32 +182,25 @@ class TestEigenBounds:
         bounds = DiagonalOperator([1.0, 17.0, 50000.0]).eigen_bounds()
         assert bounds.lambda_min == 1.0
         assert bounds.lambda_max == 50000.0
-        assert bounds.exact
         assert bounds.condition_number == pytest.approx(50000.0)
 
     def test_rank_one_exact(self):
         bounds = RankOneOperator([3.0, 4.0], 10.0).eigen_bounds()
         assert bounds.lambda_min == pytest.approx(10.0)
         assert bounds.lambda_max == pytest.approx(35.0)
-        assert bounds.exact
 
     def test_rank_one_one_dimensional(self):
         bounds = RankOneOperator([2.0], 10.0).eigen_bounds()
         assert bounds.lambda_min == bounds.lambda_max == pytest.approx(14.0)
 
-    def test_dense_power_iteration(self):
-        bounds = DenseOperator(np.diag([1.0, 4.0])).eigen_bounds()
-        assert bounds.lambda_min is None
-        assert not bounds.exact
-        assert bounds.lambda_max == pytest.approx(4.0, abs=1e-6)
-        assert bounds.condition_number is None
-
-    def test_dense_power_iteration_vs_eigvalsh(self):
+    def test_dense_exact_vs_eigvalsh(self):
         rng = np.random.default_rng(9)
         r = rng.standard_normal((12, 12))
         m = r @ r.T + np.eye(12)
-        est = DenseOperator(m).eigen_bounds().lambda_max
-        assert est == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-8)
+        bounds = DenseOperator(m).eigen_bounds()
+        w = np.linalg.eigvalsh(m)
+        assert (bounds.lambda_min, bounds.lambda_max) == (w[0], w[-1])
+        assert bounds.condition_number == w[-1] / w[0]
 
 
 def test_immutability():

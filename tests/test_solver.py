@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CountingOperator
+from conftest import CountingOperator, IndefiniteOperator
 
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -82,7 +82,7 @@ class TestLevelStep:
 
     def test_indefinite_operator_rejected(self):
         # x = (0, 1) has the gradient (0, -1), whose energy is -1.
-        p = QuadraticProblem(DenseOperator([[1.0, 0.0], [0.0, -1.0]]), [0.0, 0.0])
+        p = QuadraticProblem(IndefiniteOperator([1.0, -1.0]), [0.0, 0.0])
         with pytest.raises(ValueError, match="positive definite"):
             me_iterate(p, [0.0, 1.0])
 

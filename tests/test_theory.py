@@ -150,11 +150,6 @@ class TestLinearRate:
         assert report.skipped_steps == 1
         assert len(report.per_step_ratios) == 2
 
-    def test_inexact_bounds_rejected(self):
-        bounds = DenseOperator(np.eye(2)).eigen_bounds()
-        with pytest.raises(ValueError, match="lambda_min"):
-            linear_rate_check([], 0.0, bounds)
-
 
 class TestDominance:
     def test_hand_example(self):
