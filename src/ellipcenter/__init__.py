@@ -34,7 +34,6 @@ from .generators import (
     InstanceFamily,
     InstanceSpec,
     ProblemFormatError,
-    SplitMix64,
     gen_dense_rank_one,
     gen_diagonal,
     generate,

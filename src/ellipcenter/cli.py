@@ -97,7 +97,12 @@ def _build_instances(args):
     instances = []
     for item in args.instance:
         if item.startswith("file:"):
-            instances.append(item[len("file:"):])
+            path = item[len("file:"):]
+            try:
+                open(path).close()  # a missing file stops the run before any solve
+            except OSError as exc:
+                raise SystemExit(f"problem file {path}: {exc.strerror}")
+            instances.append(path)
             continue
         try:
             family = InstanceFamily(item)

@@ -3,7 +3,8 @@
 Random draws come from splitmix64 so that any implementation of the same
 documented recurrence reproduces identical instances bit for bit:
 
-* state advance: ``s = (s + 0x9E3779B97F4A7C15) mod 2^64``
+* state advance: ``s = (s + 0x9E3779B97F4A7C15) mod 2^64``, so draw k
+  (k = 1, 2, ...) has the closed-form state ``seed + k * 0x9E3779B97F4A7C15``
 * output mix:    ``z = s``; ``z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9``;
   ``z = (z ^ (z >> 27)) * 0x94D049BB133111EB``; ``z = z ^ (z >> 31)``
   (all mod 2^64)
@@ -39,18 +40,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import length_hint
 
 import numpy as np
 
-from .quadratic import (
-    DenseOperator,
-    DiagonalOperator,
-    QuadraticProblem,
-    RankOneOperator,
-)
+from .quadratic import DenseOperator, DiagonalOperator, QuadraticProblem, RankOneOperator
 
 __all__ = [
-    "SplitMix64",
     "InstanceFamily",
     "InstanceSpec",
     "gen_diagonal",
@@ -63,35 +59,27 @@ __all__ = [
     "save_problem",
 ]
 
-_MASK64 = (1 << 64) - 1
+
+def _draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start+1 ... start+count of seed's stream as floats in [0, 1), from
+    the closed-form states in uint64 arrays, which wrap modulo 2^64."""
+    with np.errstate(over="ignore"):
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator implementing the recurrence above."""
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        return (self.next_uint64() >> 11) * 2.0**-53
-
-    def next_int(self, lo: int, hi: int) -> int:
-        if hi < lo:
-            raise ValueError(f"empty integer range [{lo}, {hi}]")
-        return lo + int(self.next_float() * (hi - lo + 1))
-
-    def floats(self, n: int) -> np.ndarray:
-        return np.array([self.next_float() for _ in range(n)])
-
-    def ints(self, lo: int, hi: int, n: int) -> np.ndarray:
-        return np.array([self.next_int(lo, hi) for _ in range(n)], dtype=np.int64)
+def _uniform_ints(u: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Integers on [lo, hi] from draws u, as floats."""
+    if hi < lo:
+        raise ValueError(f"empty integer range [{lo}, {hi}]")
+    return lo + np.floor(u * (hi - lo + 1))
 
 
 class InstanceFamily(Enum):
@@ -130,12 +118,11 @@ def gen_diagonal(spec: InstanceSpec) -> QuadraticProblem:
     """Diagonal instance: fixed extreme entries, integer interior, random b."""
     if spec.family is not InstanceFamily.DIAGONAL_ILL_CONDITIONED:
         raise ValueError(f"spec family is {spec.family}, expected DIAGONAL_ILL_CONDITIONED")
-    rng = SplitMix64(spec.seed)
     diag = np.empty(spec.n)
     diag[0] = _DIAG_FIRST
     diag[-1] = _DIAG_LAST
-    diag[1:-1] = rng.ints(_DIAG_LO, _DIAG_HI, spec.n - 2).astype(float)
-    b = spec.b_scale * rng.floats(spec.n)
+    diag[1:-1] = _uniform_ints(_draws(spec.seed, 0, spec.n - 2), _DIAG_LO, _DIAG_HI)
+    b = spec.b_scale * _draws(spec.seed, spec.n - 2, spec.n)
     return QuadraticProblem(DiagonalOperator(diag), b)
 
 
@@ -143,9 +130,8 @@ def gen_dense_rank_one(spec: InstanceSpec) -> QuadraticProblem:
     """Rank-one-plus-scaled-identity instance with uniform v and random b."""
     if spec.family is not InstanceFamily.DENSE_RANK_ONE:
         raise ValueError(f"spec family is {spec.family}, expected DENSE_RANK_ONE")
-    rng = SplitMix64(spec.seed)
-    v = rng.floats(spec.n)
-    b = spec.b_scale * rng.floats(spec.n)
+    v = _draws(spec.seed, 0, spec.n)
+    b = spec.b_scale * _draws(spec.seed, spec.n, spec.n)
     return QuadraticProblem(RankOneOperator(v, _SIGMA), b)
 
 
@@ -180,42 +166,65 @@ class ProblemFormatError(ValueError):
     filename = None
 
 
-def _tokenize(lines):
-    tokens = []
-    for lineno, line in enumerate(lines, start=1):
-        for tok in line.split():
-            tokens.append((tok, lineno))
-    return tokens
+class _Cursor:
+    """The tokens of a problem file, split one line at a time.  ``lineno`` is
+    the line of the next token (at the end of the file, of the last one)."""
 
+    def __init__(self, lines):
+        self._lines = enumerate(lines, start=1)
+        self._tokens, self._pos = [], 0
+        self.lineno = self.last_line = 1
 
-def _take_floats(tokens, pos, count, section, last_line):
-    values = np.empty(count)
-    for i in range(count):
-        if pos >= len(tokens):
-            raise ProblemFormatError(
-                f"line {last_line}: expected {count} entries in the {section} "
-                f"section, found {i}"
-            )
-        tok, lineno = tokens[pos]
+    def peek(self):
+        """The next token, or None at the end of the file."""
+        while self._pos >= len(self._tokens):
+            line = next(self._lines, None)
+            if line is None:
+                self.lineno = self.last_line
+                return None
+            self.lineno, text = line
+            self._tokens, self._pos = text.split(), 0
+        return self._tokens[self._pos]
+
+    def take(self):
+        tok = self.peek()
+        self._pos += 1
+        self.last_line = self.lineno
+        return tok
+
+    def floats(self, count, section):
+        """The next count tokens as floats, each line's share converted in bulk."""
+        values = np.empty(count)
+        done = 0
+        while done < count:
+            if self.peek() is None:
+                raise ProblemFormatError(
+                    f"line {self.lineno}: expected {count} entries in the {section} "
+                    f"section, found {done}"
+                )
+            chunk = self._tokens[self._pos:self._pos + count - done]
+            k = len(chunk)
+            rest = iter(chunk)
+            try:
+                values[done:done + k] = np.fromiter(map(float, rest), float, k)
+            except ValueError:
+                # float() stopped at the bad token; rest holds the tokens after it.
+                bad = chunk[-1 - length_hint(rest)]
+                raise ProblemFormatError(
+                    f"line {self.lineno}: expected a number in the {section} section, "
+                    f"got {bad!r}"
+                ) from None
+            done += k
+            self._pos += k
+            self.last_line = self.lineno
+        return values
+
+    def build(self, make, *args):
+        # A value the operator or problem rejects fails at its section's last line.
         try:
-            values[i] = float(tok)
-        except ValueError:
-            raise ProblemFormatError(
-                f"line {lineno}: expected a number in the {section} section, "
-                f"got {tok!r}"
-            ) from None
-        pos += 1
-        last_line = lineno
-    return values, pos, last_line
-
-
-def _checked(lineno, build, *args):
-    # A value the operator or problem rejects is a format error at the last
-    # line of the section it came from.
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ProblemFormatError(f"line {lineno}: {exc}") from None
+            return make(*args)
+        except ValueError as exc:
+            raise ProblemFormatError(f"line {self.last_line}: {exc}") from None
 
 
 def load_problem(path) -> QuadraticProblem:
@@ -225,34 +234,29 @@ def load_problem(path) -> QuadraticProblem:
     a ``ProblemFormatError`` with a line number and ``filename`` set to path.
     """
     with open(path) as fh:
-        tokens = _tokenize(fh)
-    try:
-        return _parse(tokens)
-    except ProblemFormatError as exc:
-        exc.filename = str(path)
-        raise
+        try:
+            return _parse(_Cursor(fh))
+        except ProblemFormatError as exc:
+            exc.filename = str(path)
+            raise
 
 
-def _parse(tokens) -> QuadraticProblem:
-    if not tokens:
+def _parse(cur: _Cursor) -> QuadraticProblem:
+    kind = cur.take()
+    if kind is None:
         raise ProblemFormatError("line 1: empty problem file")
-
-    kind, header_line = tokens[0]
-    pos = 1
+    header_line = cur.lineno
 
     def take_header_number(what, convert):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][1] != header_line:
+        tok = cur.peek()
+        if tok is None or cur.lineno != header_line:
             raise ProblemFormatError(f"line {header_line}: header is missing {what}")
-        tok, _ = tokens[pos]
         try:
-            value = convert(tok)
+            return convert(cur.take())
         except ValueError:
             raise ProblemFormatError(
                 f"line {header_line}: bad {what} {tok!r} in header"
             ) from None
-        pos += 1
-        return value
 
     if kind not in ("diag", "dense", "rank1"):
         raise ProblemFormatError(
@@ -263,56 +267,49 @@ def _parse(tokens) -> QuadraticProblem:
         raise ProblemFormatError(f"line {header_line}: problem size must be positive")
     sigma = take_header_number("sigma", float) if kind == "rank1" else None
 
-    last_line = header_line
     if kind == "diag":
-        entries, pos, last_line = _take_floats(tokens, pos, n, "diagonal", last_line)
-        operator = _checked(last_line, DiagonalOperator, entries)
+        entries = cur.floats(n, "diagonal")
+        operator = cur.build(DiagonalOperator, entries)
     elif kind == "dense":
-        entries, pos, last_line = _take_floats(tokens, pos, n * n, "matrix", last_line)
-        operator = _checked(last_line, DenseOperator, entries.reshape(n, n))
+        entries = cur.floats(n * n, "matrix")
+        operator = cur.build(DenseOperator, entries.reshape(n, n))
     else:
-        entries, pos, last_line = _take_floats(tokens, pos, n, "v", last_line)
-        operator = _checked(last_line, RankOneOperator, entries, sigma)
+        entries = cur.floats(n, "v")
+        operator = cur.build(RankOneOperator, entries, sigma)
 
-    if pos >= len(tokens) or tokens[pos][0] != "b":
-        found = tokens[pos][0] if pos < len(tokens) else "end of file"
-        lineno = tokens[pos][1] if pos < len(tokens) else last_line
-        raise ProblemFormatError(f"line {lineno}: expected the b section, found {found!r}")
-    last_line = tokens[pos][1]
-    pos += 1
-    b, pos, last_line = _take_floats(tokens, pos, n, "b", last_line)
-    problem = _checked(last_line, QuadraticProblem, operator, b)
+    found = cur.take() or "end of file"
+    if found != "b":
+        raise ProblemFormatError(f"line {cur.lineno}: expected the b section, found {found!r}")
+    b = cur.floats(n, "b")
+    problem = cur.build(QuadraticProblem, operator, b)
 
-    if pos < len(tokens) and tokens[pos][0] == "c":
-        last_line = tokens[pos][1]
-        pos += 1
-        values, pos, last_line = _take_floats(tokens, pos, 1, "c", last_line)
-        problem = _checked(last_line, QuadraticProblem, operator, b, values[0])
-    if pos != len(tokens):
-        tok, lineno = tokens[pos]
-        raise ProblemFormatError(f"line {lineno}: unexpected trailing token {tok!r}")
+    if cur.peek() == "c":
+        cur.take()
+        c = cur.floats(1, "c")[0]
+        problem = cur.build(QuadraticProblem, operator, b, c)
+    tok = cur.peek()
+    if tok is not None:
+        raise ProblemFormatError(f"line {cur.lineno}: unexpected trailing token {tok!r}")
     return problem
+
+
+def _joined(values: np.ndarray) -> str:
+    return " ".join(map("{:.17g}".format, values.tolist()))
 
 
 def save_problem(problem: QuadraticProblem, path) -> None:
     """Write a problem in the text format that load_problem reads."""
     op = problem.A
     n = problem.dim
-    lines = []
     if isinstance(op, DiagonalOperator):
-        lines.append(f"diag {n}")
-        lines.append(" ".join(f"{v:.17g}" for v in op.diag))
+        lines = [f"diag {n}", _joined(op.diag)]
     elif isinstance(op, RankOneOperator):
-        lines.append(f"rank1 {n} {op.sigma:.17g}")
-        lines.append(" ".join(f"{v:.17g}" for v in op.v))
+        lines = [f"rank1 {n} {op.sigma:.17g}", _joined(op.v)]
     elif isinstance(op, DenseOperator):
-        lines.append(f"dense {n}")
-        for row in op.matrix:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines = [f"dense {n}", *map(_joined, op.matrix)]
     else:
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    lines.append("b")
-    lines.append(" ".join(f"{v:.17g}" for v in problem.b))
+    lines += ["b", _joined(problem.b)]
     if problem.c != 0.0:
         lines.append(f"c {problem.c:.17g}")
     with open(path, "w") as fh:

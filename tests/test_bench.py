@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CountingOperator
+from conftest import CountingOperator, SplitMix64
 
 import ellipcenter.bench as bench
 from ellipcenter.baselines import BBVariant
@@ -18,7 +18,7 @@ from ellipcenter.bench import (
     emit_report,
     run_benchmark,
 )
-from ellipcenter.generators import InstanceFamily, InstanceSpec, SplitMix64, save_problem
+from ellipcenter.generators import InstanceFamily, InstanceSpec, save_problem
 from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
 from ellipcenter.solver import EpsilonMode, SolveOptions
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import ellipcenter.cli as cli
 from ellipcenter.cli import main
 
 
@@ -123,6 +124,17 @@ def test_bad_problem_file_names_file(tmp_path):
         f"problem file {bad}: line 3: matrix must be positive definite, "
         "smallest eigenvalue is -1.0"
     )
+
+
+def test_missing_problem_file_stops_before_any_solve(tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("the grid ran before the missing file was found")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    missing = tmp_path / "nope.txt"
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "8", "--instance", f"file:{missing}"])
+    assert str(info.value) == f"problem file {missing}: No such file or directory"
 
 
 def test_bad_n_rejected():

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import SplitMix64, splitmix_instance
+
 from ellipcenter.generators import (
     InstanceFamily,
     InstanceSpec,
     ProblemFormatError,
-    SplitMix64,
+    _draws,
+    _uniform_ints,
     gen_dense_rank_one,
     gen_diagonal,
     generate,
@@ -16,7 +19,12 @@ from ellipcenter.generators import (
     save_problem,
     write_instance_metadata,
 )
-from ellipcenter.quadratic import DenseOperator, DiagonalOperator, RankOneOperator
+from ellipcenter.quadratic import (
+    DenseOperator,
+    DiagonalOperator,
+    QuadraticProblem,
+    RankOneOperator,
+)
 
 
 def reference_splitmix(seed, count):
@@ -34,27 +42,46 @@ def reference_splitmix(seed, count):
     return out
 
 
+SEEDS = (0, 1, 42, 2**63 + 7, 2**64 - 1, -5)
+
+
 class TestSplitMix64:
+    """The closed-form draws against the documented recurrence, written out
+    here and as the scalar oracle in conftest."""
+
     def test_matches_reference_sequence(self):
-        for seed in (0, 1, 42, 2**64 - 1):
-            rng = SplitMix64(seed)
-            got = [rng.next_uint64() for _ in range(16)]
-            assert got == reference_splitmix(seed, 16)
+        for seed in SEEDS:
+            for start, count in ((0, 16), (5, 11), (998, 4)):
+                got = _draws(seed, start, count).tolist()
+                words = reference_splitmix(seed, start + count)[start:]
+                assert got == [(z >> 11) * 2.0**-53 for z in words]
+                assert got == SplitMix64(seed).floats(start + count)[start:].tolist()
 
     def test_floats_in_unit_interval(self):
-        rng = SplitMix64(7)
-        values = rng.floats(2000)
+        values = _draws(7, 0, 2000)
         assert np.all(values >= 0.0) and np.all(values < 1.0)
         assert abs(values.mean() - 0.5) < 0.05
 
     def test_ints_cover_inclusive_range(self):
-        rng = SplitMix64(9)
-        values = rng.ints(3, 5, 5000)
+        values = _uniform_ints(_draws(9, 0, 5000), 3, 5)
         assert set(values.tolist()) == {3, 4, 5}
+        np.testing.assert_array_equal(values, SplitMix64(9).ints(3, 5, 5000))
 
     def test_int_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).next_int(5, 4)
+        with pytest.raises(ValueError, match=r"^empty integer range \[5, 4\]$"):
+            _uniform_ints(_draws(0, 0, 1), 5, 4)
+
+    @pytest.mark.parametrize("family", list(InstanceFamily))
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    def test_instances_match_scalar_draws(self, family, n):
+        # b's draws start after the operator's: at n-2 for diag, at n for dense.
+        for seed in SEEDS:
+            spec = InstanceSpec(family, n, seed, b_scale=50.0 if seed == 42 else 1000.0)
+            p = generate(spec)
+            got = p.A.diag if family is InstanceFamily.DIAGONAL_ILL_CONDITIONED else p.A.v
+            entries, b = splitmix_instance(spec)
+            assert got.tobytes() == entries.tobytes()
+            assert p.b.tobytes() == b.tobytes()
 
 
 class TestDiagonalFamily:
@@ -169,8 +196,15 @@ def test_metadata_jsonl_round_trip(tmp_path):
 class TestLoadProblem:
     def write(self, tmp_path, text):
         path = tmp_path / "problem.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         return path
+
+    def error(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(path)
+        assert info.value.filename == str(path)
+        return str(info.value)
 
     def test_diag_example(self, tmp_path):
         path = self.write(tmp_path, "diag 2\n1 4\nb\n0 0\n")
@@ -201,29 +235,75 @@ class TestLoadProblem:
         np.testing.assert_array_equal(p.A.diag, [1.0, 2.0, 3.0])
 
     def test_missing_b_section(self, tmp_path):
-        path = self.write(tmp_path, "diag 2\n1 4\n")
-        with pytest.raises(ProblemFormatError, match="b section"):
-            load_problem(path)
+        assert self.error(tmp_path, "diag 2\n1 4\n") == (
+            "line 2: expected the b section, found 'end of file'"
+        )
 
     def test_wrong_entry_count(self, tmp_path):
-        path = self.write(tmp_path, "diag 3\n1 4\nb\n0 0 0\n")
-        with pytest.raises(ProblemFormatError, match="diagonal"):
-            load_problem(path)
+        assert self.error(tmp_path, "diag 3\n1 4\nb\n0 0 0\n") == (
+            "line 3: expected a number in the diagonal section, got 'b'"
+        )
 
     def test_bad_header(self, tmp_path):
-        path = self.write(tmp_path, "sparse 2\n1 4\nb\n0 0\n")
-        with pytest.raises(ProblemFormatError, match="line 1"):
-            load_problem(path)
+        assert self.error(tmp_path, "sparse 2\n1 4\nb\n0 0\n") == (
+            "line 1: unknown header 'sparse', expected diag, dense or rank1"
+        )
 
     def test_nonpositive_diagonal(self, tmp_path):
-        path = self.write(tmp_path, "diag 2\n1 -4\nb\n0 0\n")
-        with pytest.raises(ProblemFormatError, match="positive"):
-            load_problem(path)
+        assert self.error(tmp_path, "diag 2\n1 -4\nb\n0 0\n") == (
+            "line 2: diagonal entries must be finite and strictly positive"
+        )
 
     def test_error_carries_line_number(self, tmp_path):
-        path = self.write(tmp_path, "diag 2\n1 oops\nb\n0 0\n")
-        with pytest.raises(ProblemFormatError, match="line 2"):
-            load_problem(path)
+        assert self.error(tmp_path, "diag 2\n1 oops\nb\n0 0\n") == (
+            "line 2: expected a number in the diagonal section, got 'oops'"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a bad token on a later line of a multi-line section
+            ("dense 2\n1 0\n0 zz\nb\n1 1\n",
+             "line 3: expected a number in the matrix section, got 'zz'"),
+            ("diag 3\n1\n2\nx\nb\n1 1 1\n",
+             "line 4: expected a number in the diagonal section, got 'x'"),
+            ("diag 2\r\n1 4\r\nb\r\n0\r\n", "line 4: expected 2 entries in the b section, found 1"),
+            ("diag 2\r\n1 4\r\nb\r\n0 q\r\n", "line 4: expected a number in the b section, got 'q'"),
+            ("rank1 2\n10\n1 1\nb\n1 1\n", "line 1: header is missing sigma"),
+            ("diag\n2\n1 4\nb\n0 0\n", "line 1: header is missing problem size"),
+            ("diag 2.0\n1 4\nb\n0 0\n", "line 1: bad problem size '2.0' in header"),
+            ("rank1 2 ten\n1 1\nb\n1 1\n", "line 1: bad sigma 'ten' in header"),
+            ("diag 0\nb\n", "line 1: problem size must be positive"),
+            ("diag 2\n1 4 b 0\n", "line 2: expected 2 entries in the b section, found 1"),
+            ("diag 2\n1 4\nq 0 0\n", "line 3: expected the b section, found 'q'"),
+            ("diag 2\n1 2\nb\n1 1\nc\n", "line 5: expected 1 entries in the c section, found 0"),
+            ("diag 2\n1 2\nb\n1 1\nc x\n", "line 5: expected a number in the c section, got 'x'"),
+            ("diag 2\n1 2\nb\n1 1\nc 3 4\n", "line 5: unexpected trailing token '4'"),
+            # sections cut short at the end of the file, after blank lines
+            ("diag 3\n1 2\n\n\n", "line 2: expected 3 entries in the diagonal section, found 2"),
+            ("diag 2\n1 2\nb\n1\n\n", "line 4: expected 2 entries in the b section, found 1"),
+            ("diag 2\n1 2\n\n\n", "line 2: expected the b section, found 'end of file'"),
+            ("\n  \n", "line 1: empty problem file"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        assert self.error(tmp_path, text) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "diag 2\r\n1 4\r\nb\r\n0 5\r\nc 3\r\n",  # CRLF line endings
+            "diag 2\n1 4 b 0 5\nc 3",  # b mid-line right after the last entry
+            "diag 2 1\n4\nb 0\n5 c\n3\n",  # entries start on the header line
+            "diag 2\n1_0 40e-1\nb\n0 5\nc 3\n",  # what Python's float() reads
+        ],
+    )
+    def test_layouts_read_alike(self, tmp_path, text):
+        p = load_problem(self.write(tmp_path, text))
+        expected = [10.0, 4.0] if "1_0" in text else [1.0, 4.0]
+        np.testing.assert_array_equal(p.A.diag, expected)
+        np.testing.assert_array_equal(p.b, [0.0, 5.0])
+        assert p.c == 3.0
 
     @pytest.mark.parametrize(
         "text, message",
@@ -246,14 +326,32 @@ class TestLoadProblem:
         assert info.value.filename == str(path)
 
     def test_trailing_garbage(self, tmp_path):
-        path = self.write(tmp_path, "diag 2\n1 4\nb\n0 0\nextra\n")
-        with pytest.raises(ProblemFormatError, match="trailing"):
-            load_problem(path)
+        assert self.error(tmp_path, "diag 2\n1 4\nb\n0 0\nextra\n") == (
+            "line 5: unexpected trailing token 'extra'"
+        )
 
     def test_empty_file(self, tmp_path):
-        path = self.write(tmp_path, "")
-        with pytest.raises(ProblemFormatError, match="empty"):
-            load_problem(path)
+        assert self.error(tmp_path, "") == "line 1: empty problem file"
+
+    @pytest.mark.parametrize(
+        "problem, text",
+        [
+            (QuadraticProblem(DiagonalOperator([1.0, 2.5, 1e22]), [0.1, -3.0, 1 / 3], c=0.7),
+             "diag 3\n1 2.5 1e+22\nb\n0.10000000000000001 -3 0.33333333333333331\n"
+             "c 0.69999999999999996\n"),
+            (QuadraticProblem(RankOneOperator([0.5, 0.1], 10.0), [1.0, 2.0], c=-0.25),
+             "rank1 2 10\n0.5 0.10000000000000001\nb\n1 2\nc -0.25\n"),
+            (QuadraticProblem(RankOneOperator([0.5, 0.1], 10.0), [1.0, 2.0]),
+             "rank1 2 10\n0.5 0.10000000000000001\nb\n1 2\n"),
+            (QuadraticProblem(DenseOperator([[2.0, 0.1], [0.1, 3.0]]), [1e-300, -2.5], c=-1.5),
+             "dense 2\n2 0.10000000000000001\n0.10000000000000001 3\nb\n1e-300 -2.5\nc -1.5\n"),
+        ],
+        ids=["diag", "rank1", "rank1-no-c", "dense"],
+    )
+    def test_saved_text(self, tmp_path, problem, text):
+        path = tmp_path / "saved.txt"
+        save_problem(problem, path)
+        assert path.read_bytes() == text.encode()
 
     @pytest.mark.parametrize("family", ["diag", "dense", "rank1"])
     def test_save_load_round_trip(self, tmp_path, family):
@@ -264,8 +362,6 @@ class TestLoadProblem:
             p = generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 6, 2))
         else:
             r = rng.standard_normal((4, 4))
-            from ellipcenter.quadratic import QuadraticProblem
-
             p = QuadraticProblem(
                 DenseOperator(r @ r.T + 4 * np.eye(4)), rng.standard_normal(4), c=1.5
             )

@@ -1,4 +1,5 @@
-"""Property sweeps over small problems from all three operators."""
+"""Property sweeps over small problems from all three operators, and over
+the seeds and sizes of the generated families."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import splitmix_instance
+
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
     DenseOperator,
     DiagonalOperator,
@@ -112,3 +116,15 @@ def test_center_is_two_cg_steps(case):
     err = np.linalg.norm(rec.x_next - x_star)
     assume(err >= 1e-2 * np.linalg.norm(x - x_star))
     assert np.linalg.norm(rec.x_next - cg_two_steps(p, x)) <= 1e-10 * err
+
+
+@given(st.integers(-(2**64), 2**65 - 1), st.integers(2, 300), st.sampled_from(InstanceFamily))
+def test_generated_instances_match_scalar_draws(seed, n, family):
+    # The closed-form draws reproduce the one-at-a-time recurrence bit for
+    # bit, for seeds beyond 64 bits and negative ones (both masked to 64 bits).
+    spec = InstanceSpec(family, n, seed)
+    p = generate(spec)
+    entries, b = splitmix_instance(spec)
+    got = p.A.diag if family is InstanceFamily.DIAGONAL_ILL_CONDITIONED else p.A.v
+    assert got.tobytes() == entries.tobytes()
+    assert p.b.tobytes() == b.tobytes()
