@@ -148,7 +148,7 @@ def gradient_optimal_step_solve(
         t = (r @ r) / (r @ ar)
         if not np.isfinite(t):
             raise RuntimeError(f"gradient_optimal_step: non-finite step {t!r}")
-        return x - t * r, r - t * ar, None
+        return x - t * r, r - t * ar, {}
 
     return _drive(problem, x1, options, step, "gradient_optimal_step", carried=True)
 
@@ -180,7 +180,7 @@ def cg_solve(
                 "definite or rounding destroyed conjugacy"
             )
         t = -(d @ g) / dad
-        return x + t * d, g + t * ad, None
+        return x + t * d, g + t * ad, {}
 
     cap = problem.dim + _CG_EXTRA_ITERATIONS
     return _drive(problem, x1, options, step, "cg", carried=True, cap=cap)
@@ -210,7 +210,7 @@ def bb_solve(
             t = wolfe_search(_line_oracle(problem, x, g), x, -g)
         x_prev, g_prev = x, g
         x_next = x - t * g
-        return x_next, problem.gradient(x_next), None
+        return x_next, problem.gradient(x_next), {}
 
     return _drive(problem, x1, options, step, "bb")
 
@@ -240,7 +240,7 @@ def fast_gradient_solve(
         x_next = (C_next / a) * y_next - (C / a) * y
         y = y_next
         C = C_next
-        return x_next, problem.gradient(x_next), None
+        return x_next, problem.gradient(x_next), {}
 
     return _drive(problem, x1, options, step, "fast_gradient")
 
@@ -252,6 +252,6 @@ def gradient_wolfe_solve(
 
     def step(x, g, threshold):
         x_next = x - wolfe_search(_line_oracle(problem, x, g), x, -g) * g
-        return x_next, problem.gradient(x_next), None
+        return x_next, problem.gradient(x_next), {}
 
     return _drive(problem, x1, options, step, "gradient_wolfe")

@@ -88,6 +88,11 @@ class BenchConfig:
             raise ValueError(f"unknown methods {unknown}; known: {list(METHODS)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        # Settings every solve would reject stop the run before any instance
+        # is built.
+        SolveOptions(self.epsilon, self.epsilon_mode, self.max_iterations)
+        if self.fast_cap is not None and self.fast_cap < 1:
+            raise ValueError("fast_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def _materialize(instance):
     return problem, instance_metadata(spec, problem)
 
 
-def _method_options(cfg: BenchConfig, method: str, family) -> SolveOptions:
+def _method_options(cfg: BenchConfig, method: str, family, observer) -> SolveOptions:
     max_iter = cfg.max_iterations
     if method == "fast":
         if cfg.fast_cap is not None:
@@ -129,7 +134,7 @@ def _method_options(cfg: BenchConfig, method: str, family) -> SolveOptions:
         epsilon=cfg.epsilon,
         epsilon_mode=cfg.epsilon_mode,
         max_iterations=max_iter,
-        record_trace=cfg.trace_dir is not None,
+        observer=observer,
     )
 
 
@@ -149,10 +154,16 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         x1 = np.zeros(problem.dim)
         for method in cfg.methods:
             solve = METHODS[method]
-            options = _method_options(cfg, method, meta["family"])
+            # The records of a traced cell's last repetition, dropped once written.
+            records = []
+            observer = None if cfg.trace_dir is None else (
+                lambda x, g, record: records.append(record)
+            )
+            options = _method_options(cfg, method, meta["family"], observer)
             error = None
             cpu_time = math.inf
             for _ in range(cfg.repetitions):
+                records.clear()
                 start = time.process_time()
                 try:
                     result = solve(problem, x1, options)
@@ -170,7 +181,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                     # The grid position keeps names apart when two instances
                     # share a family and size, such as two problem files.
                     name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
-                    write_trace_csv(os.path.join(cfg.trace_dir, name), result.trace)
+                    write_trace_csv(os.path.join(cfg.trace_dir, name), records)
             rows.append(
                 BenchRow(
                     method=method,

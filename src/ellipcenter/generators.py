@@ -24,7 +24,8 @@ The right-hand side b has entries uniform on [0, b_scale] in both families
 (b_scale defaults to 1000; the source experiments never state how b was
 produced, so it is a knob here).
 
-Problem file format (whitespace-separated decimal, one problem per file)::
+Problem file format (whitespace-separated decimal in UTF-8, one problem per
+file)::
 
     diag n | dense n | rank1 n sigma     header line
     <entries>                             n diagonal entries, n*n matrix
@@ -38,6 +39,7 @@ Problem file format (whitespace-separated decimal, one problem per file)::
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import length_hint
@@ -166,6 +168,11 @@ class ProblemFormatError(ValueError):
     filename = None
 
 
+# load_problem reads UTF-8 with errors="surrogateescape", so a byte that is
+# not valid UTF-8 arrives as the lone surrogate U+DC00 + byte.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 class _Cursor:
     """The tokens of a problem file, split one line at a time.  ``lineno`` is
     the line of the next token (at the end of the file, of the last one)."""
@@ -183,6 +190,11 @@ class _Cursor:
                 self.lineno = self.last_line
                 return None
             self.lineno, text = line
+            if not text.isascii() and (bad := _UNDECODED.search(text)):
+                byte = ord(bad.group()) - 0xDC00
+                raise ProblemFormatError(
+                    f"line {self.lineno}: byte 0x{byte:02x} is not valid UTF-8"
+                )
             self._tokens, self._pos = text.split(), 0
         return self._tokens[self._pos]
 
@@ -230,10 +242,12 @@ class _Cursor:
 def load_problem(path) -> QuadraticProblem:
     """Parse a problem file in the format documented in the module docstring.
 
-    Every value the operators and ``QuadraticProblem`` reject is reported as
-    a ``ProblemFormatError`` with a line number and ``filename`` set to path.
+    The file is read as UTF-8.  Every value the operators and
+    ``QuadraticProblem`` reject, and every byte that is not valid UTF-8, is
+    reported as a ``ProblemFormatError`` with a line number and ``filename``
+    set to path.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             return _parse(_Cursor(fh))
         except ProblemFormatError as exc:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,13 +62,15 @@ class SolveOptions:
     """Stopping rule and iteration controls shared by all solvers.
 
     ``epsilon`` bounds the gradient norm; in RELATIVE_TO_INITIAL mode the
-    effective threshold is epsilon * ||grad f(x1)||.
+    effective threshold is epsilon * ||grad f(x1)||.  ``observer(x, g,
+    record)``, when set, sees each update's start iterate, the gradient the
+    step used and its ``StepRecord``.
     """
 
     epsilon: float = 1e-8
     epsilon_mode: EpsilonMode = EpsilonMode.RELATIVE_TO_INITIAL
     max_iterations: int = 1_000_000
-    record_trace: bool = False
+    observer: Callable | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -113,13 +117,21 @@ class IterationRecord:
         return self.x - self.t * self.g_x
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-iteration state of a baseline solver (no ellipse-specific fields)."""
+class StepRecord(NamedTuple):
+    """The scalars of one update, the same type for every solver.
+
+    ``f_value`` and ``grad_norm`` describe the iterate the step starts from.
+    The center step's ``branch``, ``t``, ``delta``, ``alpha`` and ``beta``
+    are None for the baselines (the last three also off ELLIPSE_CENTER).
+    """
 
     f_value: float
     grad_norm: float
-    x: np.ndarray | None = None
+    branch: Branch | None = None
+    t: float | None = None
+    delta: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,6 @@ class SolverResult:
     grad_norm_final: float
     wall_time_seconds: float
     terminated_by: Termination
-    trace: list | None = None
 
 
 # me_solve, gradient_optimal_step_solve and cg_solve carry the gradient by
@@ -279,9 +290,10 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     """Run ``step`` from ``x1`` under the stopping rule shared by all solvers.
 
     ``step(x, g, threshold)`` makes one update from ``x`` with gradient ``g``
-    and returns ``(x_next, g_next, record)``; ``record`` is the trace record
-    of the step, or None to have a ``StepRecord`` built here when tracing.
-    The gradient threshold is fixed from the initial iterate, the
+    and returns ``(x_next, g_next, info)``; ``info`` holds the step's own
+    ``StepRecord`` fields (empty for the baselines).  With an observer in
+    ``options``, each update's record is built here and handed to it before
+    x moves.  The gradient threshold is fixed from the initial iterate, the
     convergence check runs before each update, and ``iterations`` counts
     updates actually performed, at most ``cap`` (and ``max_iterations``).
     With ``carried`` the step's ``g_next`` is a recurrence: the true
@@ -296,7 +308,7 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
         raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
     threshold = options.gradient_threshold(grad_norm)
     cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
-    trace = [] if options.record_trace else None
+    observer = options.observer
     iterations = 0
     since_refresh = 0  # steps since g was last the true gradient
     start = time.perf_counter()
@@ -310,11 +322,10 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
             continue
         if not math.isfinite(grad_norm):
             raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
-        x_next, g_next, record = step(x, g, threshold)
-        if trace is not None:
-            if record is None:
-                record = StepRecord(_value_from_gradient(problem, x, g), grad_norm, x)
-            trace.append(record)
+        x_next, g_next, info = step(x, g, threshold)
+        if observer is not None:
+            f_value = _value_from_gradient(problem, x, g)
+            observer(x, g, StepRecord(f_value, grad_norm, **info))
         x, g = x_next, g_next
         iterations += 1
         if carried:
@@ -334,7 +345,6 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
             if grad_norm <= threshold
             else Termination.MAX_ITERATIONS
         ),
-        trace=trace,
     )
 
 
@@ -353,8 +363,9 @@ def me_solve(
     """
 
     def step(x, g, threshold):
-        record = me_iterate(problem, x, options, grad_tolerance=threshold, g_x=g)
-        return record.x_next, record.g_next, record
+        r = me_iterate(problem, x, options, grad_tolerance=threshold, g_x=g)
+        info = dict(branch=r.branch, t=r.t, delta=r.delta, alpha=r.alpha, beta=r.beta)
+        return r.x_next, r.g_next, info
 
     return _drive(problem, x1, options, step, "me", carried=True)
 
@@ -362,33 +373,16 @@ def me_solve(
 _TRACE_COLUMNS = ("iter", "branch", "f", "grad_norm", "t", "delta", "alpha", "beta")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+def write_trace_csv(path, records) -> None:
+    """Write ``StepRecord`` rows to CSV, one per update in order.
 
-
-def write_trace_csv(path, trace) -> None:
-    """Write per-iteration records to CSV.
-
-    Accepts both ellipse-center ``IterationRecord`` rows and baseline
-    ``StepRecord`` rows; columns a record does not carry stay blank.  Each
-    row reports the state at the start of that iteration.
+    Each row reports the state at the start of that iteration; fields a
+    record leaves None stay blank.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TRACE_COLUMNS)
-        for i, rec in enumerate(trace, start=1):
-            branch = rec.branch.value if isinstance(rec, IterationRecord) else ""
-            writer.writerow(
-                [
-                    i,
-                    branch,
-                    _fmt(rec.f_value),
-                    _fmt(rec.grad_norm),
-                    _fmt(getattr(rec, "t", None)),
-                    _fmt(getattr(rec, "delta", None)),
-                    _fmt(getattr(rec, "alpha", None)),
-                    _fmt(getattr(rec, "beta", None)),
-                ]
-            )
+        for i, rec in enumerate(records, start=1):
+            values = (rec.f_value, rec.grad_norm, rec.t, rec.delta, rec.alpha, rec.beta)
+            cells = ["" if v is None else f"{v:.17g}" for v in values]
+            writer.writerow([i, rec.branch.value if rec.branch else "", *cells])

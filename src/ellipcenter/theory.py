@@ -43,7 +43,7 @@ _MAX_EXPANSIONS = 200
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-step contraction ratios of a solver trace against the rate bound.
+    """Per-step contraction ratios of an error sequence against the rate bound.
 
     ``eta_bound`` is 1 - lambda_min/lambda_max; ``satisfied`` holds when
     every ratio (f(x_{k+1}) - f*) / (f(x_k) - f*) stays at most eta_bound
@@ -91,44 +91,20 @@ def kantorovich_check(A, y):
     return lhs, bound
 
 
-def _error_sequence(trace, f_star, problem, x_star, f_final):
-    if problem is not None and x_star is not None:
-        # Energy-norm identity: f(x) - f* = 1/2 ||x - x*||_A^2.  All terms in
-        # the quadratic form are benign, so this avoids the cancellation that
-        # plagues differencing two nearly equal objective values.
-        points = [rec.x for rec in trace]
-        if trace:
-            points.append(trace[-1].x_next)
-        return [0.5 * problem.a_inner(p - x_star, p - x_star) for p in points]
-    errors = [rec.f_value - f_star for rec in trace]
-    if f_final is not None and trace:
-        errors.append(f_final - f_star)
-    return errors
+def linear_rate_check(errors, bounds: EigenBounds) -> RateReport:
+    """Check the errors f(x_k) - f* of a solve against the rate bound 1 - l1/ln.
 
-
-def linear_rate_check(
-    trace,
-    f_star: float,
-    bounds: EigenBounds,
-    problem: QuadraticProblem | None = None,
-    x_star=None,
-    f_final: float | None = None,
-) -> RateReport:
-    """Check a solve trace against the linear rate bound 1 - l1/ln.
-
-    ``trace`` is the list of iteration records from a traced solve; each
-    record's error is f at its starting iterate minus ``f_star``.  Passing
-    ``f_final`` appends the error of the final iterate so the last update is
-    checked too.  Passing ``problem`` and ``x_star`` switches to the
-    numerically stable energy-norm errors (same quantity by the identity
-    f(x) - f* = 1/2 ||x - x*||_A^2) computed from the recorded iterates.
+    ``errors`` holds one error per iterate of a solve, in order, the final
+    iterate's included.  The energy-norm form 1/2 ||x - x*||_A^2 gives the
+    same quantity without the cancellation of differencing two nearly equal
+    objective values; an observer collects it per step (see ``SolveOptions``).
     """
+    errors = list(errors)
     eta = 1.0 - bounds.lambda_min / bounds.lambda_max
     sharp = (
         (bounds.lambda_max - bounds.lambda_min)
         / (bounds.lambda_max + bounds.lambda_min)
     ) ** 2
-    errors = _error_sequence(trace, f_star, problem, x_star, f_final)
 
     ratios = []
     skipped = 0

@@ -50,6 +50,22 @@ def splitmix_instance(spec):
     return entries, spec.b_scale * rng.floats(spec.n)
 
 
+class Steps(list):
+    """An observer for ``SolveOptions(observer=...)`` that keeps each step's
+    ``(x, g, record)``; ``xs`` and ``records`` read one field."""
+
+    def __call__(self, x, g, record):
+        self.append((x, g, record))
+
+    @property
+    def xs(self):
+        return [x for x, _, _ in self]
+
+    @property
+    def records(self):
+        return [record for _, _, record in self]
+
+
 class CountingOperator:
     """Delegates to an operator and counts its matvecs."""
 

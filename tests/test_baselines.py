@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CountingOperator, IndefiniteOperator
+from conftest import CountingOperator, IndefiniteOperator, Steps
 
 from ellipcenter.baselines import (
     BBVariant,
@@ -24,7 +24,13 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
-from ellipcenter.solver import _REFRESH_STEPS, SolveOptions, Termination, me_solve
+from ellipcenter.solver import (
+    _REFRESH_STEPS,
+    SolveOptions,
+    StepRecord,
+    Termination,
+    me_solve,
+)
 
 
 def diag_problem(entries, b=None):
@@ -117,8 +123,9 @@ class TestConjugateGradient:
         # steps certifies conjugacy of the directions themselves.
         rng = np.random.default_rng(44)
         p = diag_problem(np.linspace(1.0, 400.0, 25), b=rng.uniform(0, 3, 25))
-        result = cg_solve(p, np.zeros(25), SolveOptions(record_trace=True))
-        points = [rec.x for rec in result.trace] + [result.x_final]
+        steps = Steps()
+        result = cg_solve(p, np.zeros(25), SolveOptions(observer=steps))
+        points = steps.xs + [result.x_final]
         steps = [b - a for a, b in zip(points, points[1:])]
         for s_prev, s_next in zip(steps, steps[1:]):
             inner = p.a_inner(s_next, s_prev)
@@ -300,11 +307,12 @@ class TestGradientWolfe:
     def test_monotone_decrease(self):
         rng = np.random.default_rng(52)
         p = diag_problem(np.linspace(1.0, 30.0, 10), b=rng.uniform(0, 2, 10))
+        steps = Steps()
         result = gradient_wolfe_solve(
-            p, np.zeros(10), options=SolveOptions(epsilon=1e-6, record_trace=True)
+            p, np.zeros(10), options=SolveOptions(epsilon=1e-6, observer=steps)
         )
         assert result.terminated_by is Termination.GRADIENT_TOLERANCE
-        values = [rec.f_value for rec in result.trace] + [result.f_final]
+        values = [rec.f_value for rec in steps.records] + [result.f_final]
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-12 * max(1.0, abs(before))
 
@@ -386,9 +394,10 @@ class TestCarriedGradient:
     def test_traced_norms_track_true_gradient(self, solve):
         rng = np.random.default_rng(56)
         p = diag_problem(np.linspace(1.0, 300.0, 80), b=rng.uniform(0.0, 5.0, 80))
-        result = solve(p, np.zeros(80), SolveOptions(record_trace=True))
-        for rec in result.trace:
-            assert rec.grad_norm == pytest.approx(np.linalg.norm(p.gradient(rec.x)), rel=1e-7)
+        steps = Steps()
+        solve(p, np.zeros(80), SolveOptions(observer=steps))
+        for x, _, rec in steps:
+            assert rec.grad_norm == pytest.approx(np.linalg.norm(p.gradient(x)), rel=1e-7)
 
 
 def _run(method, p, options):
@@ -397,28 +406,35 @@ def _run(method, p, options):
 
 @pytest.mark.parametrize("method", ["grad", "cg", "bb", "fast", "grad-wolfe", "me"])
 def test_trace_adds_no_matvec(method):
-    # Trace records take f from the gradient in hand, not from a matvec.
+    # Step records take f from the gradient in hand, not from a matvec.  Every
+    # solver reports one StepRecord per update; only me fills the ellipse fields.
     rng = np.random.default_rng(57)
     entries = np.linspace(1.0, 20.0, 30)
     b = rng.uniform(0.0, 5.0, 30)
     counts = []
-    for record_trace in (False, True):
+    for steps in (None, Steps()):
         op, p = counted_problem(entries, b)
-        options = SolveOptions(epsilon=1e-6, max_iterations=500, record_trace=record_trace)
+        options = SolveOptions(epsilon=1e-6, max_iterations=500, observer=steps)
         result = _run(method, p, options)
         counts.append(op.calls)
     assert counts[0] == counts[1]
-    assert result.trace
-    for rec in result.trace:
-        assert rec.f_value == pytest.approx(p.value(rec.x), rel=1e-12, abs=1e-12)
+    assert len(steps) == result.iterations > 0
+    for x, _, rec in steps:
+        assert type(rec) is StepRecord
+        assert rec.f_value == pytest.approx(p.value(x), rel=1e-12, abs=1e-12)
+        if method == "me":
+            assert rec.branch is not None
+        else:
+            assert (rec.branch, rec.t, rec.delta, rec.alpha, rec.beta) == (None,) * 5
 
 
 @pytest.mark.parametrize("method", SOLVERS)
 def test_overflowing_initial_gradient_raises(method):
     # ||g|| = ||b|| overflows at x1 = 0; no threshold can be derived from it.
     p = QuadraticProblem(DiagonalOperator([1.0, 2.0]), [1e200, 1e200])
-    with pytest.raises(RuntimeError, match="gradient norm is inf; aborting"):
-        _run(method, p, SolveOptions())
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        with pytest.raises(RuntimeError, match="gradient norm is inf; aborting"):
+            _run(method, p, SolveOptions())
 
 
 def _wolfe_stall_instance(name):

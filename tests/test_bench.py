@@ -62,6 +62,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="repetitions"):
             BenchConfig(instances=(dense_spec(4),), repetitions=0)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"epsilon": 0.0}, "epsilon must be positive"),
+            ({"epsilon": -1.0}, "epsilon must be positive"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"fast_cap": 0}, "fast_cap must be at least 1"),
+        ],
+    )
+    def test_bad_solve_settings(self, settings, message):
+        # Settings every solve would reject fail with the config, before
+        # run_benchmark builds an instance.
+        with pytest.raises(ValueError) as info:
+            BenchConfig(instances=(dense_spec(4),), **settings)
+        assert str(info.value) == message
+
     def test_default_methods_exclude_grad_wolfe(self):
         assert "grad-wolfe" not in DEFAULT_METHODS
         assert len(DEFAULT_METHODS) == 6
@@ -149,7 +165,8 @@ class TestRunBenchmark:
             instances=(str(bad), dense_spec(10, seed=8)),
             methods=("cg", "me"),
         )
-        report = run_benchmark(cfg)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+            report = run_benchmark(cfg)
         assert len(report.rows) == 4
         assert report.rows[0].terminated_by == "error"
         assert report.rows[0].error == "RuntimeError: cg: gradient norm is inf; aborting"
@@ -178,6 +195,19 @@ class TestRunBenchmark:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["branch"] == ""
         assert rows[0]["t"] == rows[0]["delta"] == rows[0]["alpha"] == ""
+
+    def test_trace_holds_last_repetition_only(self, tmp_path):
+        for reps in (1, 3):
+            cfg = BenchConfig(
+                instances=(dense_spec(12, seed=3),),
+                methods=("me", "cg"),
+                repetitions=reps,
+                trace_dir=str(tmp_path / f"reps{reps}"),
+            )
+            run_benchmark(cfg)
+        for name in ("me_dense_12_0.csv", "cg_dense_12_0.csv"):
+            once = (tmp_path / "reps1" / name).read_bytes()
+            assert (tmp_path / "reps3" / name).read_bytes() == once
 
     def test_trace_names_unique_per_cell(self, tmp_path):
         # Two files of one size, and a diag and a dense instance of one size

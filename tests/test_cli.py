@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import ellipcenter.bench as bench
 import ellipcenter.cli as cli
 from ellipcenter.cli import main
 
@@ -124,6 +125,33 @@ def test_bad_problem_file_names_file(tmp_path):
         f"problem file {bad}: line 3: matrix must be positive definite, "
         "smallest eigenvalue is -1.0"
     )
+
+
+def test_undecodable_problem_file_names_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"diag 2\n1 \xff\nb\n0 0\n")
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", f"file:{bad}", "--methods", "cg"])
+    assert str(info.value) == f"problem file {bad}: line 2: byte 0xff is not valid UTF-8"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "0", "epsilon must be positive"),
+        ("--eps", "-1", "epsilon must be positive"),
+        ("--max-iters", "0", "max_iterations must be at least 1"),
+        ("--fast-cap", "0", "fast_cap must be at least 1"),
+    ],
+)
+def test_bad_solve_settings_stop_before_any_instance(flag, value, message, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("an instance was built before the settings were checked")
+
+    monkeypatch.setattr(bench, "generate", no_build)
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "8", flag, value])
+    assert str(info.value) == f"invalid configuration: {message}"
 
 
 def test_missing_problem_file_stops_before_any_solve(tmp_path, monkeypatch):

@@ -325,6 +325,28 @@ class TestLoadProblem:
         assert str(info.value) == message
         assert info.value.filename == str(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"diag 2\n1 \xff\nb\n0 0\n", "line 2: byte 0xff is not valid UTF-8"),
+            (b"diag 2\n1 4\nb\n0 0\nc \xe9\n", "line 5: byte 0xe9 is not valid UTF-8"),
+            # past the first 8 KiB, which a text reader decodes in one piece
+            (b"diag 2\n1 4\n" + b" " * 10_000 + b"\nb\n0 \x80\n",
+             "line 5: byte 0x80 is not valid UTF-8"),
+            # valid UTF-8 that is not ASCII still reaches the parser
+            ("diag 2\n1 4\nb\n0 0\n\u00e9\n".encode(),
+             "line 5: unexpected trailing token '\u00e9'"),
+        ],
+        ids=["entry", "c", "later-block", "valid-utf8"],
+    )
+    def test_undecodable_bytes(self, tmp_path, data, message):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(data)
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(path)
+        assert str(info.value) == message
+        assert info.value.filename == str(path)
+
     def test_trailing_garbage(self, tmp_path):
         assert self.error(tmp_path, "diag 2\n1 4\nb\n0 0\nextra\n") == (
             "line 5: unexpected trailing token 'extra'"

@@ -7,8 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import splitmix_instance
+from conftest import Steps, splitmix_instance
 
+from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -16,7 +17,7 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
-from ellipcenter.solver import Branch, me_iterate
+from ellipcenter.solver import Branch, SolveOptions, me_iterate, me_solve
 from ellipcenter.theory import reference_minimum
 
 
@@ -128,3 +129,34 @@ def test_generated_instances_match_scalar_draws(seed, n, family):
     got = p.A.diag if family is InstanceFamily.DIAGONAL_ILL_CONDITIONED else p.A.v
     assert got.tobytes() == entries.tobytes()
     assert p.b.tobytes() == b.tobytes()
+
+
+@given(problems())
+def test_observed_f_never_rises(case):
+    # The center minimizes f over a plane through x, so no step raises f
+    # beyond the rounding of the values compared.
+    p, x1 = case
+    steps = Steps()
+    result = me_solve(p, x1, SolveOptions(observer=steps))
+    points = steps.xs + [result.x_final]
+    values = [rec.f_value for rec in steps.records] + [result.f_final]
+    for k in range(len(values) - 1):
+        slack = 1e-12 * (value_scale(p, points[k]) + value_scale(p, points[k + 1]))
+        assert values[k + 1] <= values[k] + slack
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@given(problems(), st.sampled_from(sorted(METHODS)))
+def test_observing_changes_nothing(case, method):
+    p, x1 = case
+    plain = METHODS[method](p, x1, SolveOptions(max_iterations=200))
+    steps = Steps()
+    observed = METHODS[method](p, x1, SolveOptions(max_iterations=200, observer=steps))
+    assert len(steps) == observed.iterations == plain.iterations
+    assert observed.terminated_by is plain.terminated_by
+    assert bits(observed.f_final) == bits(plain.f_final)
+    assert bits(observed.grad_norm_final) == bits(plain.grad_norm_final)
+    assert observed.x_final.tobytes() == plain.x_final.tobytes()

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import CountingOperator, IndefiniteOperator
+from conftest import CountingOperator, IndefiniteOperator, Steps
 
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -19,6 +19,7 @@ from ellipcenter.solver import (
     Branch,
     EpsilonMode,
     SolveOptions,
+    StepRecord,
     Termination,
     _coeffs_from_gram,
     me_iterate,
@@ -264,19 +265,34 @@ class TestMeSolve:
     def test_monotone_descent_in_trace(self):
         rng = np.random.default_rng(28)
         p = random_problem(rng, 30)
-        result = me_solve(p, rng.standard_normal(30), SolveOptions(record_trace=True))
-        values = [rec.f_value for rec in result.trace] + [result.f_final]
+        steps = Steps()
+        result = me_solve(p, rng.standard_normal(30), SolveOptions(observer=steps))
+        values = [rec.f_value for rec in steps.records] + [result.f_final]
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-10 * max(1.0, abs(before))
 
     def test_delta_positive_on_ellipse_branch(self):
         rng = np.random.default_rng(29)
         p = random_problem(rng, 25)
-        result = me_solve(p, rng.standard_normal(25), SolveOptions(record_trace=True))
-        assert any(rec.branch is Branch.ELLIPSE_CENTER for rec in result.trace)
-        for rec in result.trace:
+        steps = Steps()
+        me_solve(p, rng.standard_normal(25), SolveOptions(observer=steps))
+        assert any(rec.branch is Branch.ELLIPSE_CENTER for rec in steps.records)
+        for rec in steps.records:
             if rec.branch is Branch.ELLIPSE_CENTER:
                 assert rec.delta > 0.0
+
+    def test_observer_sees_the_step_me_iterate_makes(self):
+        # Each record holds the scalars of the center step from the observed
+        # x and carried gradient g, bit for bit.
+        p = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 64, 1))
+        steps = Steps()
+        me_solve(p, np.zeros(64), SolveOptions(max_iterations=120, observer=steps))
+        assert len(steps) == 120
+        for x, g, rec in steps:
+            s = me_iterate(p, x, grad_tolerance=0.0, g_x=g)
+            assert rec == StepRecord(
+                s.f_value, s.grad_norm, s.branch, s.t, s.delta, s.alpha, s.beta
+            )
 
     def test_max_iterations_termination(self):
         p = diag_problem(np.linspace(1.0, 1000.0, 50), b=np.ones(50))
@@ -356,15 +372,14 @@ class TestCarriedGradient:
         # Without refresh the recurred gradient of this kappa = 5e4 instance
         # has subnormal entries from about step 170 on.
         p = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 500, 1))
-        result = me_solve(
-            p, np.zeros(500), SolveOptions(max_iterations=2000, record_trace=True)
-        )
-        assert len(result.trace) == 2000
+        steps = Steps()
+        me_solve(p, np.zeros(500), SolveOptions(max_iterations=2000, observer=steps))
+        assert len(steps) == 2000
         tiny = np.finfo(float).tiny
-        for rec in result.trace:
-            true = p.gradient(rec.x)
-            assert np.linalg.norm(rec.g_x - true) <= DRIFT_BOUND * np.linalg.norm(true)
-            assert not np.any((rec.g_x != 0.0) & (np.abs(rec.g_x) < tiny))
+        for x, g, _ in steps:
+            true = p.gradient(x)
+            assert np.linalg.norm(g - true) <= DRIFT_BOUND * np.linalg.norm(true)
+            assert not np.any((g != 0.0) & (np.abs(g) < tiny))
 
     @pytest.mark.parametrize("max_iterations", [3, _REFRESH_STEPS, 1_000_000])
     def test_final_gradient_is_true_gradient(self, max_iterations):
@@ -409,13 +424,14 @@ class TestSolveOptionsValidation:
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(30)
     p = random_problem(rng, 10)
-    result = me_solve(p, rng.standard_normal(10), SolveOptions(record_trace=True))
+    steps = Steps()
+    result = me_solve(p, rng.standard_normal(10), SolveOptions(observer=steps))
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, result.trace)
+    write_trace_csv(path, steps.records)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == result.iterations
-    for i, (row, rec) in enumerate(zip(rows, result.trace), start=1):
+    for i, (row, rec) in enumerate(zip(rows, steps.records), start=1):
         assert int(row["iter"]) == i
         assert row["branch"] == rec.branch.value
         # 17 significant digits round-trip doubles exactly.

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import Steps
+
 from ellipcenter.quadratic import (
     DenseOperator,
     DiagonalOperator,
     QuadraticProblem,
     RankOneOperator,
 )
-from ellipcenter.solver import Branch, IterationRecord, SolveOptions, me_solve
+from ellipcenter.solver import SolveOptions, me_solve
 from ellipcenter.theory import (
     dominance_check,
     kantorovich_check,
@@ -72,15 +74,20 @@ class TestKantorovich:
         np.testing.assert_allclose(op.matvec(op.solve(y)), y, rtol=1e-12)
 
 
+def energy_errors(p, x_star, steps, result):
+    # f(x) - f* = 1/2 ||x - x*||_A^2 at each observed iterate and the final one.
+    return [0.5 * p.a_inner(x - x_star, x - x_star) for x in steps.xs + [result.x_final]]
+
+
 class TestLinearRate:
     def test_identity_single_step(self):
         rng = np.random.default_rng(63)
         p = diag_problem(np.ones(5), b=rng.standard_normal(5))
-        result = me_solve(p, np.zeros(5), SolveOptions(record_trace=True))
-        x_star, f_star = reference_minimum(p)
+        steps = Steps()
+        result = me_solve(p, np.zeros(5), SolveOptions(observer=steps))
+        x_star, _ = reference_minimum(p)
         report = linear_rate_check(
-            result.trace, f_star, p.A.eigen_bounds(),
-            problem=p, x_star=x_star,
+            energy_errors(p, x_star, steps, result), p.A.eigen_bounds()
         )
         assert report.eta_bound == 0.0
         assert report.satisfied
@@ -90,10 +97,11 @@ class TestLinearRate:
     def test_two_eigenvalues_ratio_bound(self):
         rng = np.random.default_rng(64)
         p = diag_problem([1.0, 2.0], b=rng.uniform(1.0, 3.0, 2))
-        result = me_solve(p, np.zeros(2), SolveOptions(record_trace=True))
-        x_star, f_star = reference_minimum(p)
+        steps = Steps()
+        result = me_solve(p, np.zeros(2), SolveOptions(observer=steps))
+        x_star, _ = reference_minimum(p)
         report = linear_rate_check(
-            result.trace, f_star, p.A.eigen_bounds(), problem=p, x_star=x_star
+            energy_errors(p, x_star, steps, result), p.A.eigen_bounds()
         )
         assert report.eta_bound == pytest.approx(0.5)
         assert report.satisfied
@@ -104,16 +112,16 @@ class TestLinearRate:
         # where differencing objective values is still accurate.
         rng = np.random.default_rng(65)
         p = diag_problem(np.linspace(1.0, 60.0, 20), b=rng.uniform(0, 4, 20))
+        steps = Steps()
         result = me_solve(
-            p, np.zeros(20), SolveOptions(record_trace=True, max_iterations=8)
+            p, np.zeros(20), SolveOptions(max_iterations=8, observer=steps)
         )
         x_star, f_star = reference_minimum(p)
         stable = linear_rate_check(
-            result.trace, f_star, p.A.eigen_bounds(), problem=p, x_star=x_star
+            energy_errors(p, x_star, steps, result), p.A.eigen_bounds()
         )
-        plain = linear_rate_check(
-            result.trace, f_star, p.A.eigen_bounds(), f_final=result.f_final
-        )
+        f_values = [rec.f_value for rec in steps.records] + [result.f_final]
+        plain = linear_rate_check([f - f_star for f in f_values], p.A.eigen_bounds())
         assert stable.satisfied and plain.satisfied
         assert len(plain.per_step_ratios) == len(stable.per_step_ratios) == 8
         for a, b in zip(stable.per_step_ratios, plain.per_step_ratios):
@@ -124,29 +132,24 @@ class TestLinearRate:
         # rounding noise, which the energy-norm route avoids.
         rng = np.random.default_rng(65)
         p = diag_problem(np.linspace(1.0, 60.0, 20), b=rng.uniform(0, 4, 20))
-        result = me_solve(p, np.zeros(20), SolveOptions(record_trace=True))
-        x_star, f_star = reference_minimum(p)
+        steps = Steps()
+        result = me_solve(p, np.zeros(20), SolveOptions(observer=steps))
+        x_star, _ = reference_minimum(p)
         stable = linear_rate_check(
-            result.trace, f_star, p.A.eigen_bounds(), problem=p, x_star=x_star
+            energy_errors(p, x_star, steps, result), p.A.eigen_bounds()
         )
         assert stable.satisfied and stable.anorm_satisfied
 
     def test_sharp_bound_recorded(self):
         p = diag_problem([1.0, 2.0])
-        report = linear_rate_check([], 0.0, p.A.eigen_bounds())
+        report = linear_rate_check([], p.A.eigen_bounds())
         assert report.sharp_bound == pytest.approx((1.0 / 3.0) ** 2)
         assert report.eta_bound == pytest.approx(0.5)
         assert report.sharp_bound < report.eta_bound
 
     def test_floor_steps_skipped(self):
         p = diag_problem([1.0, 2.0])
-        x = np.zeros(2)
-        rec = lambda f: IterationRecord(
-            x=x, g_x=x, f_value=f, grad_norm=1.0,
-            branch=Branch.MIDPOINT, x_next=x,
-        )
-        trace = [rec(1.0), rec(-0.5), rec(0.25)]
-        report = linear_rate_check(trace, 0.0, p.A.eigen_bounds(), f_final=0.1)
+        report = linear_rate_check([1.0, -0.5, 0.25, 0.1], p.A.eigen_bounds())
         assert report.skipped_steps == 1
         assert len(report.per_step_ratios) == 2
 
