@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 from hypothesis import settings
 
@@ -48,6 +50,18 @@ def splitmix_instance(spec):
     else:
         entries = rng.floats(spec.n)
     return entries, spec.b_scale * rng.floats(spec.n)
+
+
+def reference_trace_csv(path, records):
+    """The trace CSV as csv.writer writes it from each record's cells: the
+    oracle that the library's row formats are checked against."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("iter", "branch", "f", "grad_norm", "t", "delta", "alpha", "beta"))
+        for i, rec in enumerate(records, start=1):
+            values = (rec.f_value, rec.grad_norm, rec.t, rec.delta, rec.alpha, rec.beta)
+            cells = ["" if v is None else f"{v:.17g}" for v in values]
+            writer.writerow([i, rec.branch.value if rec.branch else "", *cells])
 
 
 class Steps(list):

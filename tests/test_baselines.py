@@ -26,6 +26,7 @@ from ellipcenter.quadratic import (
 )
 from ellipcenter.solver import (
     _REFRESH_STEPS,
+    Branch,
     SolveOptions,
     StepRecord,
     Termination,
@@ -435,6 +436,28 @@ def test_overflowing_initial_gradient_raises(method):
     with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
         with pytest.raises(RuntimeError, match="gradient norm is inf; aborting"):
             _run(method, p, SolveOptions())
+
+
+@pytest.mark.parametrize("d, b", [(5.0, 5.0), (0.5, 3.0)])
+@pytest.mark.parametrize("method", [*SOLVERS, "bb-short"])
+def test_one_dimensional_problem(method, d, b):
+    # With n = 1 the gradient spans the space, so one exact step lands on b/d,
+    # and g_y is parallel to g_x, so the center step is the midpoint.  bb's
+    # first step is a Wolfe step from t = 1, which the search accepts away
+    # from b/d; its first two-point step, 1/d, lands.
+    p = diag_problem([d], b=[b])
+    steps = Steps()
+    options = SolveOptions(observer=steps)
+    if method == "bb-short":
+        result = bb_solve(p, np.zeros(1), BBVariant(short_steps=True), options)
+    else:
+        result = _run(method, p, options)
+    assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+    if method != "grad-wolfe":
+        assert result.iterations == (2 if method.startswith("bb") else 1)
+        assert result.x_final[0] == b / d
+    if method == "me":
+        assert steps.records[0].branch is Branch.MIDPOINT
 
 
 def _wolfe_stall_instance(name):

@@ -1,6 +1,8 @@
 """Property sweeps over small problems from all three operators, and over
 the seeds and sizes of the generated families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -18,7 +20,7 @@ from ellipcenter.quadratic import (
     RankOneOperator,
 )
 from ellipcenter.solver import Branch, SolveOptions, me_iterate, me_solve
-from ellipcenter.theory import reference_minimum
+from ellipcenter.theory import dominance_check, reference_minimum
 
 
 def vectors(n, lo, hi):
@@ -119,6 +121,19 @@ def test_center_is_two_cg_steps(case):
     assert np.linalg.norm(rec.x_next - cg_two_steps(p, x)) <= 1e-10 * err
 
 
+@given(problems())
+def test_center_step_dominates_exact_line_search(case):
+    # The center minimizes f over a plane that holds the exact-line-search
+    # step, so it is never higher beyond the rounding of the values compared.
+    p, x = case
+    assume(np.linalg.norm(p.gradient(x)) > 0.0)
+    rec = me_iterate(p, x, grad_tolerance=0.0)
+    f_me, f_grad = dominance_check(p, x)
+    x_grad = x - (rec.t / 2.0) * rec.g_x
+    slack = 1e-12 * (value_scale(p, rec.x_next) + value_scale(p, x_grad))
+    assert f_me <= f_grad + slack
+
+
 @given(st.integers(-(2**64), 2**65 - 1), st.integers(2, 300), st.sampled_from(InstanceFamily))
 def test_generated_instances_match_scalar_draws(seed, n, family):
     # The closed-form draws reproduce the one-at-a-time recurrence bit for
@@ -160,3 +175,19 @@ def test_observing_changes_nothing(case, method):
     assert bits(observed.f_final) == bits(plain.f_final)
     assert bits(observed.grad_norm_final) == bits(plain.grad_norm_final)
     assert observed.x_final.tobytes() == plain.x_final.tobytes()
+
+
+@given(problems(), st.sampled_from(sorted(METHODS)))
+def test_solves_are_deterministic(case, method):
+    p, x1 = case
+    first, second = (METHODS[method](p, x1, SolveOptions(max_iterations=200)) for _ in range(2))
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        if field.name == "wall_time_seconds":
+            continue
+        if field.name == "x_final":
+            assert a.tobytes() == b.tobytes()
+        elif isinstance(a, float):
+            assert bits(a) == bits(b)
+        else:
+            assert a == b

@@ -1,10 +1,12 @@
 import csv
-import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import CountingOperator, IndefiniteOperator, Steps
+from conftest import CountingOperator, IndefiniteOperator, Steps, reference_trace_csv
 
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -13,6 +15,7 @@ from ellipcenter.quadratic import (
     RankOneOperator,
 )
 import ellipcenter.solver as solver_module
+from ellipcenter.baselines import cg_solve
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.solver import (
     _REFRESH_STEPS,
@@ -346,7 +349,7 @@ class TestCarriedGradient:
         p = diag_problem([1.0, 4.0])
         rec = me_iterate(p, [2.0, 1.0])
         np.testing.assert_array_equal(rec.y, rec.x - rec.t * rec.g_x)
-        assert "y" not in rec.__dataclass_fields__
+        assert "y" not in rec._fields
         converged = me_iterate(p, [0.0, 0.0])
         assert converged.y is None
 
@@ -401,7 +404,7 @@ class TestCarriedGradient:
         def lying(problem, x, options, grad_tolerance=None, g_x=None):
             record = real(problem, x, options, grad_tolerance, g_x)
             if record.branch is not Branch.CONVERGED:
-                record = dataclasses.replace(record, g_next=np.zeros_like(record.g_next))
+                record = record._replace(g_next=np.zeros_like(record.g_next))
             return record
 
         monkeypatch.setattr(solver_module, "me_iterate", lying)
@@ -438,3 +441,53 @@ def test_trace_csv_round_trip(tmp_path):
         assert float(row["f"]) == rec.f_value
         assert float(row["grad_norm"]) == rec.grad_norm
         assert float(row["t"]) == rec.t
+
+
+# Values whose text a row format could get wrong.
+AWKWARD = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5)
+
+
+def assert_trace_matches_reference(directory, records):
+    write_trace_csv(directory / "lib.csv", records)
+    reference_trace_csv(directory / "ref.csv", records)
+    assert (directory / "lib.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+def test_trace_csv_matches_csv_writer(tmp_path):
+    records = []
+    for v in AWKWARD:
+        records += [
+            StepRecord(v, 1.0),
+            StepRecord(1.0, v),
+            StepRecord(v, v, Branch.ELLIPSE_CENTER, v, v, v, v),
+            StepRecord(v, 2.0, Branch.MIDPOINT, t=v),
+        ]
+    # Rows of real solves: center steps, a midpoint step (n = 1) and a baseline.
+    p64 = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 64, 1))
+    for solve, p in ((me_solve, p64), (me_solve, diag_problem([5.0], b=[5.0])),
+                     (cg_solve, p64)):
+        steps = Steps()
+        solve(p, np.zeros(p.dim), SolveOptions(max_iterations=200, observer=steps))
+        records += steps.records
+    kinds = {(r.branch, r.delta is None) for r in records}
+    assert {(None, True), (Branch.ELLIPSE_CENTER, False), (Branch.MIDPOINT, True)} <= kinds
+    assert_trace_matches_reference(tmp_path, records)
+    assert_trace_matches_reference(tmp_path, [])
+
+
+def maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+# Baseline rows, full center rows, and rows with any cells None.
+_cells = (st.floats(), st.floats(), st.sampled_from(Branch), *[st.floats()] * 4)
+step_records = st.one_of(
+    st.builds(StepRecord, *_cells[:2]),
+    st.builds(StepRecord, *_cells),
+    st.builds(StepRecord, *map(maybe, _cells)),
+)
+
+
+@given(st.lists(step_records, max_size=8))
+def test_any_trace_rows_match_csv_writer(tmp_path_factory, records):
+    assert_trace_matches_reference(tmp_path_factory.getbasetemp(), records)
