@@ -30,9 +30,9 @@ import json
 import os
 import platform
 import statistics
-import subprocess
-import sys
 import tempfile
+
+from pairing import python_probe, run_perfbench
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = [10**k for k in range(2, 7)]
@@ -87,27 +87,6 @@ print(json.dumps({"before_load_mb": before, "peak_mb": after}))
 """
 
 
-def _python(tree, code, *args):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
-def _perfbench(tree, workload):
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "20", "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
-    lines = proc.stdout.splitlines()
-    if proc.returncode not in (0, 1) or not lines:
-        raise SystemExit(f"perfbench {workload} in {tree} failed:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    result["cells"] = [line for line in lines if line.startswith("cell ")]
-    return result
-
-
 def _medians(runs):
     keys = runs[0]["metrics"]
     return {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in keys}
@@ -123,11 +102,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         for family in FAMILIES:
             for name, tree in trees.items():
-                rows = _python(tree, SETUP_PROBE, family, json.dumps(SIZES), REPEATS, work)
+                rows = python_probe(tree, SETUP_PROBE, family, json.dumps(SIZES), REPEATS, work)
                 for row in rows:
                     setup.setdefault((family, row.pop("n")), {})[name] = row
         rank1_file = os.path.join(work, "dense_1000000.txt")
-        load_rss = {name: _python(tree, RSS_PROBE, rank1_file) for name, tree in trees.items()}
+        load_rss = {name: python_probe(tree, RSS_PROBE, rank1_file) for name, tree in trees.items()}
 
     perfbench = {}
     for workload in WORKLOADS:
@@ -135,7 +114,7 @@ def main(argv=None):
         for k in range(PAIRS):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for name in order:
-                runs[name].append(_perfbench(trees[name], workload))
+                runs[name].append(run_perfbench(trees[name], workload, 1))
         perfbench[workload] = {
             "command": f"python3 perfbench/run.py --workload {workload} --seed 1 "
                        "--seconds 20 --trace 0",

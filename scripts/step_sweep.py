@@ -35,9 +35,8 @@ import argparse
 import json
 import os
 import platform
-import statistics
-import subprocess
-import sys
+
+from pairing import python_probe, sweep_perfbench
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STEP_CASES = [(64, 20_000), (10_000, 3_000)]  # (n, steps per run)
@@ -104,70 +103,6 @@ print(json.dumps({"steps": steps, "trace_write": write}))
 """
 
 
-def _python(tree, code, *args):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
-def _perfbench(tree, workload, seed):
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "20", "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
-    lines = proc.stdout.splitlines()
-    if proc.returncode not in (0, 1) or not lines:
-        raise SystemExit(f"perfbench {workload} in {tree} failed:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    result["cells"] = [line for line in lines if line.startswith("cell ")]
-    return result
-
-
-def _summary(runs):
-    # Median and quartiles of every end-to-end metric over the runs of one tree.
-    out = {}
-    for key in runs[0]["metrics"]:
-        values = [r["metrics"][key]["value"] for r in runs]
-        q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[key] = {"median": q2, "q1": q1, "q3": q3}
-    return out
-
-
-def _sweep_perfbench(trees):
-    entries = []
-    for workload, seed, pairs in PERFBENCH:
-        runs = {"parent": [], "change": []}
-        for k in range(pairs):
-            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-            for name in order:
-                runs[name].append(_perfbench(trees[name], workload, seed))
-        parent, change = _summary(runs["parent"]), _summary(runs["change"])
-        entries.append({
-            "workload": workload,
-            "seed": seed,
-            "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
-                       "--seconds 20 --trace 0",
-            "pairs": pairs,
-            "parent": parent,
-            "change": change,
-            # Pairs in which the change's value was the lower (all five
-            # metrics are better lower).
-            "change_won": {
-                key: sum(c["metrics"][key]["value"] < p["metrics"][key]["value"]
-                         for p, c in zip(runs["parent"], runs["change"]))
-                for key in parent
-            },
-            "all_correct": all(r["correct"] and r["failed"] == 0
-                               for r in runs["parent"] + runs["change"]),
-            "cells_match": all(r["cells"] == runs["parent"][0]["cells"]
-                               for r in runs["parent"] + runs["change"]),
-            "runs": runs,
-        })
-    return entries
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
@@ -178,7 +113,7 @@ def main(argv=None):
     for k in range(PROBE_ROUNDS):
         order = list(trees) if k % 2 == 0 else list(reversed(trees))
         for name in order:
-            probes[name].append(_python(trees[name], STEP_PROBE, json.dumps(STEP_CASES), REPEATS))
+            probes[name].append(python_probe(trees[name], STEP_PROBE, json.dumps(STEP_CASES), REPEATS))
     # The host's speed drifts for seconds at a time: keep each timing's
     # fastest run over all of a tree's probe processes.
     best = {name: {} for name in trees}
@@ -199,7 +134,7 @@ def main(argv=None):
     writes = {name: min((p["trace_write"] for p in probes[name]), key=lambda w: w["s"])
               for name in trees}
 
-    perfbench = _sweep_perfbench(trees)
+    perfbench = sweep_perfbench(trees, PERFBENCH)
     report = {
         "what": "Per-step cost of me and fast, trace CSV writing, and the perfbench "
                 "--trace 0 results of all three workloads, for the parent and this change "

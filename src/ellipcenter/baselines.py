@@ -66,28 +66,23 @@ class BBVariant:
     short_steps: bool
 
 
-def wolfe_search(oracle, x, d, params: WolfeParams = WolfeParams()) -> float:
-    """Step length along descent direction ``d`` satisfying both Wolfe conditions.
+def wolfe_search(line, slope0: float, params: WolfeParams = WolfeParams()) -> float:
+    """Step length along a descent line satisfying both Wolfe conditions.
 
-    ``oracle(x)`` returns ``(value, gradient)``.  A bracket [t_L, t_R] is
-    maintained: while no upper bound exists the trial step is extrapolated by
-    the factor ``a``, afterwards it bisects.  Accepts t once
-    f(x + t d) <= f(x) + m1 t d.g(x) and d.g(x + t d) >= m2 d.g(x).
-    If ``max_trials`` is exhausted, the best sufficient-decrease step found
-    so far is returned with a warning.
+    ``line(t)`` returns ``(phi(t) - phi(0), phi'(t))`` for phi(t) = f(x + t d),
+    and ``slope0`` is phi'(0).  A bracket [t_L, t_R] is maintained: while no
+    upper bound exists the trial step is extrapolated by the factor ``a``,
+    afterwards it bisects.  Accepts t once phi(t) - phi(0) <= m1 t slope0
+    and phi'(t) >= m2 slope0.  If ``max_trials`` is exhausted, the best
+    sufficient-decrease step found so far is returned with a warning.
     """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    f0, g0 = oracle(x)
-    slope0 = float(d @ g0)
     if slope0 >= 0.0:
-        raise ValueError(f"d is not a descent direction (directional slope {slope0:g})")
+        raise ValueError(f"not a descent direction (slope0 = {slope0:g})")
     t, t_left, t_right = 1.0, 0.0, math.inf
     best = None
     for _ in range(params.max_trials):
-        ft, gt = oracle(x + t * d)
-        slope_t = float(d @ gt)
-        if ft <= f0 + params.m1 * t * slope0:
+        decrease, slope_t = line(t)
+        if decrease <= params.m1 * t * slope0:
             if slope_t >= params.m2 * slope0:
                 return t
             t_left = t
@@ -104,20 +99,22 @@ def wolfe_search(oracle, x, d, params: WolfeParams = WolfeParams()) -> float:
     return best if best is not None else t
 
 
-def _line_oracle(problem: QuadraticProblem, x, g_x):
-    # Oracle for a line search from x, at one matvec a trial.  It returns
-    # f(z) - f(x) = 1/2 (z - x)^T (g(z) + g(x)), exact for a quadratic, in
-    # place of f(z): near the minimizer the decrease the Wolfe test compares
-    # falls below the rounding of f itself, and the search stalls.  The
-    # search's first call is at x itself (np.asarray passes a float array
-    # through), answered from the gradient in hand without a matvec.
-    def oracle(z):
-        if z is x:
-            return 0.0, g_x
-        g = problem.gradient(z)
-        return 0.5 * float((z - x) @ (g + g_x)), g
-
-    return oracle
+def _wolfe_step(problem: QuadraticProblem, g) -> float:
+    # Wolfe step along d = -g at one matvec a search.  On a quadratic the
+    # line is the exact parabola f(x + t d) - f(x) = t s + t^2 q / 2 with
+    # s = d.g and q = d.(A d), so every trial's value and slope come from
+    # two scalars.  The value is a decrease anchored at x: near the
+    # minimizer the decrease the Wolfe test compares falls below the
+    # rounding of f itself.
+    d = -g
+    s = float(d.dot(g))
+    q = float(d.dot(problem.A.matvec(d)))
+    if not math.isfinite(q) or q <= 0.0:
+        raise RuntimeError(
+            f"Wolfe search: curvature d^T A d = {q!r}; operator is not positive "
+            "definite or the iterate overflowed"
+        )
+    return wolfe_search(lambda t: (t * s + 0.5 * t * t * q, s + t * q), s)
 
 
 def bb_step_length(s, y, variant: BBVariant) -> float:
@@ -207,7 +204,7 @@ def bb_solve(
         if x_prev is not None:
             t = bb_step_length(x - x_prev, g - g_prev, variant)
         if not np.isfinite(t) or t <= 0.0:
-            t = wolfe_search(_line_oracle(problem, x, g), x, -g)
+            t = _wolfe_step(problem, g)
         x_prev, g_prev = x, g
         x_next = x - t * g
         return x_next, problem.gradient(x_next), {}
@@ -251,7 +248,7 @@ def gradient_wolfe_solve(
     """Gradient descent with Wolfe search along d = -grad f(x)."""
 
     def step(x, g, threshold):
-        x_next = x - wolfe_search(_line_oracle(problem, x, g), x, -g) * g
+        x_next = x - _wolfe_step(problem, g) * g
         return x_next, problem.gradient(x_next), {}
 
     return _drive(problem, x1, options, step, "gradient_wolfe")

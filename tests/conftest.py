@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 
 import numpy as np
 from hypothesis import settings
@@ -62,6 +64,52 @@ def reference_trace_csv(path, records):
             values = (rec.f_value, rec.grad_norm, rec.t, rec.delta, rec.alpha, rec.beta)
             cells = ["" if v is None else f"{v:.17g}" for v in values]
             writer.writerow([i, rec.branch.value if rec.branch else "", *cells])
+
+
+def reference_wolfe_search(oracle, x, d, params):
+    """The Wolfe search as it was before the line model, with a gradient at
+    every trial point: the oracle that the library's one-matvec search is
+    checked against.  ``oracle(x)`` returns ``(value, gradient)``."""
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(d, dtype=float)
+    f0, g0 = oracle(x)
+    slope0 = float(d @ g0)
+    if slope0 >= 0.0:
+        raise ValueError(f"d is not a descent direction (directional slope {slope0:g})")
+    t, t_left, t_right = 1.0, 0.0, math.inf
+    best = None
+    for _ in range(params.max_trials):
+        ft, gt = oracle(x + t * d)
+        slope_t = float(d @ gt)
+        if ft <= f0 + params.m1 * t * slope0:
+            if slope_t >= params.m2 * slope0:
+                return t
+            t_left = t
+            best = t
+        else:
+            t_right = t
+        t = params.a * t if math.isinf(t_right) else 0.5 * (t_left + t_right)
+    warnings.warn(
+        f"Wolfe search did not satisfy the curvature condition within "
+        f"{params.max_trials} trials; returning the best sufficient-decrease step",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return best if best is not None else t
+
+
+def reference_line_oracle(problem, x, g_x):
+    """The anchored oracle of ``reference_wolfe_search`` from x: it returns
+    f(z) - f(x) = 1/2 (z - x)^T (g(z) + g(x)) at one matvec a trial, and
+    answers x itself from the gradient in hand."""
+
+    def oracle(z):
+        if z is x:
+            return 0.0, g_x
+        g = problem.gradient(z)
+        return 0.5 * float((z - x) @ (g + g_x)), g
+
+    return oracle
 
 
 class Steps(list):

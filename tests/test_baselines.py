@@ -5,10 +5,10 @@ import pytest
 
 from conftest import CountingOperator, IndefiniteOperator, Steps
 
+import ellipcenter.baselines as baselines
 from ellipcenter.baselines import (
     BBVariant,
     WolfeParams,
-    _line_oracle,
     bb_solve,
     bb_step_length,
     cg_solve,
@@ -151,14 +151,13 @@ class TestConjugateGradient:
 
 class TestWolfeSearch:
     @staticmethod
-    def _oracle_half_square(x):
-        return 0.5 * float(x @ x), x
+    def _half_square_line(x, d):
+        # phi(t) - phi(0) and phi'(t) for f(z) = z^2 / 2 along x + t d.
+        return lambda t: (t * x * d + 0.5 * t * t * d * d, (x + t * d) * d), x * d
 
     def test_unit_step_accepted_immediately(self):
-        t = wolfe_search(
-            self._oracle_half_square, np.array([1.0]), np.array([-1.0]),
-            WolfeParams(m1=1e-4, m2=0.9),
-        )
+        line, slope0 = self._half_square_line(1.0, -1.0)
+        t = wolfe_search(line, slope0, WolfeParams(m1=1e-4, m2=0.9))
         assert t == 1.0
 
     def test_conditions_hold_on_random_quadratics(self):
@@ -173,52 +172,74 @@ class TestWolfeSearch:
             if np.linalg.norm(g) == 0.0:
                 continue
             d = -g
-            t = wolfe_search(oracle, x, d, params)
             f0, g0 = oracle(x)
-            ft, gt = oracle(x + t * d)
             slope0 = d @ g0
+
+            def line(t):
+                ft, gt = oracle(x + t * d)
+                return ft - f0, d @ gt
+
+            t = wolfe_search(line, slope0, params)
+            ft, gt = oracle(x + t * d)
             assert ft <= f0 + params.m1 * t * slope0 + 1e-12 * max(1.0, abs(f0))
             assert d @ gt >= params.m2 * slope0
 
     def test_non_descent_direction_rejected(self):
+        line, slope0 = self._half_square_line(1.0, 1.0)
         with pytest.raises(ValueError, match="descent"):
-            wolfe_search(self._oracle_half_square, np.array([1.0]), np.array([1.0]))
+            wolfe_search(line, slope0)
 
     def test_max_trials_warns_and_returns_decrease_step(self):
         # With m2 = 0.1 the curvature condition needs t >= 9 here, which the
         # doubling reaches only at the fourth trial; three trials exhaust the
         # budget after accepting sufficient decrease at t = 1, 2, 4.
         params = WolfeParams(m1=1e-4, m2=0.1, max_trials=3)
+        line, slope0 = self._half_square_line(10.0, -1.0)
         with pytest.warns(RuntimeWarning, match="Wolfe"):
-            t = wolfe_search(
-                self._oracle_half_square, np.array([10.0]), np.array([-1.0]), params
-            )
+            t = wolfe_search(line, slope0, params)
         assert t == 4.0
 
-    def test_line_oracle_makes_one_matvec_a_trial(self):
-        # The search's first call is at x, whose gradient the solver already
-        # holds; only the trial points after it cost a matvec.
-        rng = np.random.default_rng(47)
-        most_trials = 0
-        for _ in range(20):
-            base = random_spd_problem(rng, int(rng.integers(2, 10)))
+    def test_one_matvec_a_search(self, monkeypatch):
+        # The line model costs one matvec, so a bb solve with one search
+        # makes the initial gradient, that matvec and one gradient a step,
+        # and a grad-wolfe step makes two.
+        search = baselines.wolfe_search
+        ts = []
+
+        def counted(line, slope0):
+            ts.append(search(line, slope0))
+            return ts[-1]
+
+        monkeypatch.setattr(baselines, "wolfe_search", counted)
+        base = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 64, 1))
+        for short in (False, True):
             op = CountingOperator(base.A)
             p = QuadraticProblem(op, base.b)
-            x = rng.standard_normal(p.dim)
-            g = p.gradient(x)
-            oracle = _line_oracle(p, x, g)
-            points = []
+            ts.clear()
+            result = bb_solve(p, np.zeros(64), BBVariant(short_steps=short))
+            assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+            assert len(ts) == 1 and ts[0] < 1.0
+            assert op.calls == result.iterations + 2
+        op = CountingOperator(base.A)
+        p = QuadraticProblem(op, base.b)
+        result = gradient_wolfe_solve(p, np.zeros(64), SolveOptions(max_iterations=1))
+        assert result.iterations == 1 and op.calls == 1 + 2
 
-            def counted(z):
-                points.append(z)
-                return oracle(z)
+    @pytest.mark.parametrize("diag", [[1.0, -1.0], [-1.0, -2.0]])
+    @pytest.mark.parametrize("method", ["bb", "grad-wolfe"])
+    def test_non_positive_curvature_raises(self, method, diag):
+        # g = (-1, -1) has d^T A d = 0 or -3: no Wolfe step exists, and the
+        # search fails at once, before any trial overflows.
+        p = QuadraticProblem(IndefiniteOperator(diag), [1.0, 1.0])
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            SOLVERS[method](p, np.zeros(2))
 
-            op.calls = 0
-            wolfe_search(counted, x, -g)
-            assert points[0] is x
-            assert op.calls == len(points) - 1
-            most_trials = max(most_trials, len(points) - 1)
-        assert most_trials > 1
+    @pytest.mark.parametrize("method", ["bb", "grad-wolfe"])
+    def test_gradient_in_positive_eigenspace_converges(self, method):
+        p = QuadraticProblem(IndefiniteOperator([1.0, -1.0]), [1.0, 0.0])
+        result = SOLVERS[method](p, np.zeros(2))
+        assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+        assert result.iterations == 1
 
 
 class TestBarzilaiBorwein:

@@ -2,15 +2,18 @@
 the seeds and sizes of the generated families."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import Steps, splitmix_instance
+from conftest import Steps, reference_line_oracle, reference_wolfe_search, splitmix_instance
 
+import ellipcenter.baselines as baselines
+from ellipcenter.baselines import WolfeParams, _wolfe_step
 from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
@@ -158,6 +161,51 @@ def test_observed_f_never_rises(case):
     for k in range(len(values) - 1):
         slack = 1e-12 * (value_scale(p, points[k]) + value_scale(p, points[k + 1]))
         assert values[k + 1] <= values[k] + slack
+
+
+def gradient_rounding(p, g, z):
+    # A bound on the rounding of g . g(z) from a computed gradient at z.
+    return 1e-12 * np.linalg.norm(g) * (
+        np.linalg.norm(p.A.matvec(z)) + np.linalg.norm(p.b) + np.linalg.norm(g)
+    )
+
+
+@given(problems())
+@example((QuadraticProblem(DiagonalOperator(np.full(7, 0.1)), np.ones(7)), np.zeros(7)))
+def test_line_model_search_matches_point_search(case):
+    # Every trial t is dyadic, so a search that makes each accept/reject
+    # decision as the point-by-point search did returns the same bits.  The
+    # two round differently, so a trial that sits on the boundary of a Wolfe
+    # test in exact arithmetic (phi'(1) = m2 phi'(0) when g is an
+    # eigenvector with eigenvalue 1 - m2) may be decided either way.
+    p, x = case
+    g = p.gradient(x)
+    assume(g.dot(g) > 0.0)
+    params = WolfeParams()
+    with mock.patch.object(baselines, "wolfe_search", wraps=baselines.wolfe_search) as search:
+        t = _wolfe_step(p, g)
+    line, slope0 = search.call_args.args
+    trials = []
+    baselines.wolfe_search(lambda u: trials.append(u) or line(u), slope0, params)
+    oracle = reference_line_oracle(p, x, g)
+    for u in trials:
+        decrease, slope = line(u)
+        point_decrease, g_z = oracle(x - u * g)
+        decrease_margin = point_decrease - params.m1 * u * slope0
+        slope_margin = float(-g @ g_z) - params.m2 * slope0
+        tie = gradient_rounding(p, g, x - u * g)
+        if (decrease <= params.m1 * u * slope0) != (decrease_margin <= 0.0):
+            assert abs(decrease_margin) <= u * tie
+            break
+        if decrease_margin <= 0.0 and (slope >= params.m2 * slope0) != (slope_margin >= 0.0):
+            assert abs(slope_margin) <= tie
+            break
+    else:
+        assert t == reference_wolfe_search(oracle, x, -g, params)
+    z = x - t * g
+    slack = 1e-12 * (value_scale(p, x) + value_scale(p, z))
+    assert p.value(z) <= p.value(x) + params.m1 * t * slope0 + slack
+    assert -g.dot(p.gradient(z)) >= params.m2 * slope0 - gradient_rounding(p, g, z)
 
 
 def bits(value):
