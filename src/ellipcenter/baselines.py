@@ -3,8 +3,9 @@
 Five methods: exact-line-search gradient descent, conjugate gradient,
 Barzilai-Borwein (long or short steps, first step by Wolfe search),
 Nesterov-style fast gradient, and gradient descent with Wolfe search.
-Each is a step kernel run by ``solver._drive``, the loop ``me_solve`` uses:
-iterations count x-updates, convergence is checked before each update, and
+Each is a step kernel under the contract of ``solver._drive``, the loop
+``me_solve`` uses, and reports no ``StepRecord`` fields of its own.
+Iterations count x-updates, convergence is checked before each update, and
 the gradient threshold is fixed from the initial iterate.  Gradient descent
 and conjugate gradient carry the gradient by recurrence, one matvec a step,
 and the driver replaces it with the true gradient as it does for
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadratic import QuadraticProblem
-from .solver import SolveOptions, SolverResult, _drive
+from .solver import SolveOptions, SolverResult, _drive, _level_length
 
 __all__ = [
     "WolfeParams",
@@ -137,15 +138,14 @@ def gradient_optimal_step_solve(
 ) -> SolverResult:
     """Gradient descent with the exact line-search step t = ||r||^2 / (r^T A r).
 
-    The gradient is carried as r <- r - t A r, one matvec a step.
+    The gradient is carried as r <- r - t A r, one matvec a step.  t is half
+    the center step's level step and, like it, rejects r^T A r <= 0.
     """
 
-    def step(x, r, threshold):
+    def step(x, r, gg):
         ar = problem.A.matvec(r)
-        t = (r @ r) / (r @ ar)
-        if not np.isfinite(t):
-            raise RuntimeError(f"gradient_optimal_step: non-finite step {t!r}")
-        return x - t * r, r - t * ar, {}
+        t = 0.5 * _level_length(gg, float(r.dot(ar)))
+        return x - t * r, r - t * ar, ()
 
     return _drive(problem, x1, options, step, "gradient_optimal_step", carried=True)
 
@@ -162,7 +162,7 @@ def cg_solve(
     """
     d = ad = None
 
-    def step(x, g, threshold):
+    def step(x, g, gg):
         nonlocal d, ad
         if d is None:
             d = g
@@ -177,7 +177,7 @@ def cg_solve(
                 "definite or rounding destroyed conjugacy"
             )
         t = -(d @ g) / dad
-        return x + t * d, g + t * ad, {}
+        return x + t * d, g + t * ad, ()
 
     cap = problem.dim + _CG_EXTRA_ITERATIONS
     return _drive(problem, x1, options, step, "cg", carried=True, cap=cap)
@@ -198,7 +198,7 @@ def bb_solve(
     """
     x_prev = g_prev = None
 
-    def step(x, g, threshold):
+    def step(x, g, gg):
         nonlocal x_prev, g_prev
         t = math.nan
         if x_prev is not None:
@@ -207,7 +207,7 @@ def bb_solve(
             t = _wolfe_step(problem, g)
         x_prev, g_prev = x, g
         x_next = x - t * g
-        return x_next, problem.gradient(x_next), {}
+        return x_next, problem.gradient(x_next), ()
 
     return _drive(problem, x1, options, step, "bb")
 
@@ -226,7 +226,7 @@ def fast_gradient_solve(
     y = None
     C = 0.0
 
-    def step(x, g, threshold):
+    def step(x, g, gg):
         nonlocal y, C
         if y is None:
             y = x
@@ -237,7 +237,7 @@ def fast_gradient_solve(
         x_next = (C_next / a) * y_next - (C / a) * y
         y = y_next
         C = C_next
-        return x_next, problem.gradient(x_next), {}
+        return x_next, problem.gradient(x_next), ()
 
     return _drive(problem, x1, options, step, "fast_gradient")
 
@@ -247,8 +247,8 @@ def gradient_wolfe_solve(
 ) -> SolverResult:
     """Gradient descent with Wolfe search along d = -grad f(x)."""
 
-    def step(x, g, threshold):
+    def step(x, g, gg):
         x_next = x - _wolfe_step(problem, g) * g
-        return x_next, problem.gradient(x_next), {}
+        return x_next, problem.gradient(x_next), ()
 
     return _drive(problem, x1, options, step, "gradient_wolfe")

@@ -63,7 +63,7 @@ class SolveOptions:
     ``epsilon`` bounds the gradient norm; in RELATIVE_TO_INITIAL mode the
     effective threshold is epsilon * ||grad f(x1)||.  ``observer(x, g,
     record)``, when set, sees each update's start iterate, the gradient the
-    step used and its ``StepRecord``.
+    step used and its ``StepRecord``; the driver builds records only then.
     """
 
     epsilon: float = 1e-8
@@ -161,8 +161,8 @@ class SolverResult:
 _REFRESH_STEPS = 50
 
 
-# The 1-D dot products on the per-step path (here, in me_iterate and in the
-# loop of _drive) are written a.dot(b): the same BLAS ddot as a @ b, so the
+# The 1-D dot products on the per-step path (here, in _center_step and in
+# the loop of _drive) are written a.dot(b): the same BLAS ddot as a @ b, so the
 # same bits, with less dispatch around it (0.8 against 1.3 us at n = 64).
 def _value_from_gradient(problem: QuadraticProblem, x, g) -> float:
     # f(x) = 1/2 x^T g - 1/2 b^T x + c from a gradient g = A x - b in hand.
@@ -214,6 +214,34 @@ def _coeffs_from_gram(gg, gxgy, m11, m12, m22, delta):
     return alpha, beta
 
 
+def _center_step(problem: QuadraticProblem, x, g, gg: float):
+    # me_iterate's step from x, g and gg = g.g: (x_next, g_next, g_y, fields),
+    # with fields the StepRecord's (branch, t, delta, alpha, beta).
+    ag_x = problem.A.matvec(g)
+    m11 = float(g.dot(ag_x))
+    t = _level_length(gg, m11)
+    g_y = np.multiply(ag_x, -t)  # g - t A g
+    g_y += g
+    ag_y = problem.A.matvec(g_y)
+    m12 = float(g.dot(ag_y))
+    m22 = float(g_y.dot(ag_y))
+    delta = _gram_delta(m11, m12, m22)
+    if delta is None:
+        x_next = x - (0.5 * t) * g
+        g_next = g - (0.5 * t) * ag_x
+        return x_next, g_next, g_y, (Branch.MIDPOINT, t, None, None, None)
+    alpha, beta = _coeffs_from_gram(gg, float(g.dot(g_y)), m11, m12, m22, delta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise RuntimeError(
+            f"non-finite center coefficients (t={t}, delta={delta}, "
+            f"alpha={alpha}, beta={beta})"
+        )
+    tmp = np.empty_like(g)
+    x_next = _combine(x, alpha, g, beta, g_y, tmp)
+    g_next = _combine(g, alpha, ag_x, beta, ag_y, tmp)
+    return x_next, g_next, g_y, (Branch.ELLIPSE_CENTER, t, delta, alpha, beta)
+
+
 def me_iterate(
     problem: QuadraticProblem,
     x,
@@ -221,19 +249,19 @@ def me_iterate(
     grad_tolerance: float | None = None,
     g_x=None,
 ) -> IterationRecord:
-    """One ellipse-center step from ``x``.
+    """One ellipse-center step from ``x``, as a record of everything it made.
 
     ``g_x`` is the gradient at ``x``; when omitted it is computed as A x - b.
     The step makes two matvecs, A g_x and A g_y.  The gradient is affine in
     x, so g_y = g_x - t A g_x, and the gradient at the produced iterate is
     ``g_next`` = g_x + alpha A g_x + beta A g_y (g_x - (t/2) A g_x on the
-    midpoint branch).
+    midpoint branch).  ``me_solve`` runs the same step kernel without this
+    call's input checks and record.
 
     ``grad_tolerance`` is the effective stopping threshold; when omitted it
     is derived from ``options`` using the gradient at ``x`` itself, so in
     relative mode a standalone call only reports CONVERGED at an exact
-    stationary point.  ``me_solve`` passes the threshold fixed at the initial
-    iterate.
+    stationary point.
     """
     x = _as_vector(x, problem.dim)
     if g_x is None:
@@ -254,33 +282,7 @@ def me_iterate(
             x=x, g_x=g_x, f_value=f_value, grad_norm=grad_norm,
             branch=Branch.CONVERGED, x_next=x, g_next=g_x,
         )
-
-    ag_x = problem.A.matvec(g_x)
-    m11 = float(g_x.dot(ag_x))
-    t = _level_length(gg, m11)
-    g_y = np.multiply(ag_x, -t)  # g_x - t A g_x
-    g_y += g_x
-    ag_y = problem.A.matvec(g_y)
-    m12 = float(g_x.dot(ag_y))
-    m22 = float(g_y.dot(ag_y))
-    delta = _gram_delta(m11, m12, m22)
-
-    if delta is not None:
-        alpha, beta = _coeffs_from_gram(gg, float(g_x.dot(g_y)), m11, m12, m22, delta)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise RuntimeError(
-                f"non-finite center coefficients (t={t}, delta={delta}, "
-                f"alpha={alpha}, beta={beta})"
-            )
-        tmp = np.empty_like(g_x)
-        x_next = _combine(x, alpha, g_x, beta, g_y, tmp)
-        g_next = _combine(g_x, alpha, ag_x, beta, ag_y, tmp)
-        branch = Branch.ELLIPSE_CENTER
-    else:
-        x_next = x - (0.5 * t) * g_x
-        g_next = g_x - (0.5 * t) * ag_x
-        branch = Branch.MIDPOINT
-        alpha = beta = None
+    x_next, g_next, g_y, (branch, t, delta, alpha, beta) = _center_step(problem, x, g_x, gg)
     return IterationRecord(
         x=x, g_x=g_x, f_value=f_value, grad_norm=grad_norm, branch=branch,
         x_next=x_next, t=t, g_y=g_y, g_next=g_next, delta=delta, alpha=alpha,
@@ -291,25 +293,26 @@ def me_iterate(
 def _drive(problem, x1, options, step, method, carried=False, cap=None):
     """Run ``step`` from ``x1`` under the stopping rule shared by all solvers.
 
-    ``step(x, g, threshold)`` makes one update from ``x`` with gradient ``g``
-    and returns ``(x_next, g_next, info)``; ``info`` holds the step's own
-    ``StepRecord`` fields (empty for the baselines; me's includes the
-    ``f_value`` it checked).  With an observer in ``options``, each update's
-    record is built here, with f from the gradient in hand unless ``info``
-    has it, and handed to it before x moves.  The gradient threshold is
-    fixed from the initial iterate, the convergence check runs before each
-    update, and ``iterations`` counts updates actually performed, at most
-    ``cap`` (and ``max_iterations``).  With ``carried`` the step's
-    ``g_next`` is a recurrence: the true gradient replaces it every
-    ``_REFRESH_STEPS`` steps, and the solve stops only on a true gradient,
-    so ``terminated_by``, ``f_final`` and ``grad_norm_final`` describe the
+    Every solver's step has one contract: ``step(x, g, gg)`` makes one
+    update from ``x`` with gradient ``g`` and ``gg`` = g.g, and returns
+    ``(x_next, g_next, fields)``, where ``fields`` are the step's own
+    ``StepRecord`` fields after f and the gradient norm: the center step's
+    ``(branch, t, delta, alpha, beta)``, ``()`` for the baselines.  With an
+    observer in ``options``, each update's record is built here, with f from
+    the gradient in hand, and handed to it before x moves.  The gradient
+    threshold is fixed from the initial iterate, a gradient norm that is not
+    finite raises, the convergence check runs before each update, and
+    ``iterations`` counts updates actually performed, at most ``cap`` (and
+    ``max_iterations``).  With ``carried`` the step's ``g_next`` is a
+    recurrence: the true gradient replaces it every ``_REFRESH_STEPS``
+    steps, and the solve stops only on a true gradient, so
+    ``terminated_by``, ``f_final`` and ``grad_norm_final`` describe the
     returned iterate.
     """
     x = _as_vector(x1, problem.dim, name="x1")
     g = problem.gradient(x)
-    grad_norm = math.sqrt(float(g @ g))
-    if not math.isfinite(grad_norm):
-        raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
+    gg = float(g @ g)
+    grad_norm = math.sqrt(gg)
     threshold = options.gradient_threshold(grad_norm)
     cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
     observer = options.observer
@@ -317,30 +320,27 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     since_refresh = 0  # steps since g was last the true gradient
     start = time.perf_counter()
     while True:
+        if not math.isfinite(grad_norm):
+            raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
         if grad_norm <= threshold or iterations >= cap:
             if not since_refresh:
                 break
             g = problem.gradient(x)
-            grad_norm = math.sqrt(float(g @ g))
             since_refresh = 0
-            continue
-        if not math.isfinite(grad_norm):
-            raise RuntimeError(f"{method}: gradient norm is {grad_norm}; aborting")
-        x_next, g_next, info = step(x, g, threshold)
-        if observer is not None:
-            if "f_value" in info:
-                record = StepRecord(grad_norm=grad_norm, **info)
-            else:
-                record = StepRecord(_value_from_gradient(problem, x, g), grad_norm, **info)
-            observer(x, g, record)
-        x, g = x_next, g_next
-        iterations += 1
-        if carried:
-            since_refresh += 1
-            if since_refresh == _REFRESH_STEPS:
-                g = problem.gradient(x)
-                since_refresh = 0
-        grad_norm = math.sqrt(float(g.dot(g)))
+        else:
+            x_next, g_next, fields = step(x, g, gg)
+            if observer is not None:
+                f = _value_from_gradient(problem, x, g)
+                observer(x, g, StepRecord(f, grad_norm, *fields))
+            x, g = x_next, g_next
+            iterations += 1
+            if carried:
+                since_refresh += 1
+                if since_refresh == _REFRESH_STEPS:
+                    g = problem.gradient(x)
+                    since_refresh = 0
+        gg = float(g.dot(g))
+        grad_norm = math.sqrt(gg)
     return SolverResult(
         x_final=x,
         iterations=iterations,
@@ -369,11 +369,9 @@ def me_solve(
     returned iterate.
     """
 
-    def step(x, g, threshold):
-        r = me_iterate(problem, x, options, grad_tolerance=threshold, g_x=g)
-        info = {"f_value": r.f_value, "branch": r.branch, "t": r.t,
-                "delta": r.delta, "alpha": r.alpha, "beta": r.beta}
-        return r.x_next, r.g_next, info
+    def step(x, g, gg):
+        x_next, g_next, _, fields = _center_step(problem, x, g, gg)
+        return x_next, g_next, fields
 
     return _drive(problem, x1, options, step, "me", carried=True)
 

@@ -148,7 +148,7 @@ def dominance_check(problem: QuadraticProblem, x):
     g = problem.gradient(x)
     if float(np.linalg.norm(g)) == 0.0:
         raise ValueError("x is already stationary")
-    record = me_iterate(problem, x, SolveOptions(), grad_tolerance=0.0)
+    record = me_iterate(problem, x, SolveOptions(), grad_tolerance=0.0, g_x=g)
     f_me = problem.value(record.x_next)
     if record.branch is Branch.MIDPOINT:
         return f_me, f_me

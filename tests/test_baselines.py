@@ -459,6 +459,17 @@ def test_overflowing_initial_gradient_raises(method):
             _run(method, p, SolveOptions())
 
 
+@pytest.mark.parametrize("diag", [[1.0, -1.0], [-1.0, -2.0]])
+@pytest.mark.parametrize("method", ["me", "grad"])
+def test_non_positive_energy_rejected(method, diag):
+    # The exact line-search step is half the center step's level step, so
+    # grad rejects g^T A g = 0 or -3 at once, as me does, rather than divide
+    # by zero or climb to the maximizer.
+    p = QuadraticProblem(IndefiniteOperator(diag), [1.0, 1.0])
+    with pytest.raises(ValueError, match="not positive definite"):
+        SOLVERS[method](p, np.zeros(2))
+
+
 @pytest.mark.parametrize("d, b", [(5.0, 5.0), (0.5, 3.0)])
 @pytest.mark.parametrize("method", [*SOLVERS, "bb-short"])
 def test_one_dimensional_problem(method, d, b):

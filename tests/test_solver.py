@@ -399,19 +399,45 @@ class TestCarriedGradient:
         rng = np.random.default_rng(35)
         p = diag_problem(np.linspace(1.0, 100.0, 40), b=rng.uniform(0.0, 5.0, 40))
         reference = me_solve(p, np.zeros(40))
-        real = solver_module.me_iterate
+        real = solver_module._center_step
+        lies = 0
 
-        def lying(problem, x, options, grad_tolerance=None, g_x=None):
-            record = real(problem, x, options, grad_tolerance, g_x)
-            if record.branch is not Branch.CONVERGED:
-                record = record._replace(g_next=np.zeros_like(record.g_next))
-            return record
+        def lying(problem, x, g, gg):
+            nonlocal lies
+            x_next, g_next, g_y, fields = real(problem, x, g, gg)
+            lies += 1
+            return x_next, np.zeros_like(g_next), g_y, fields
 
-        monkeypatch.setattr(solver_module, "me_iterate", lying)
+        monkeypatch.setattr(solver_module, "_center_step", lying)
         result = me_solve(p, np.zeros(40))
+        assert lies > 0
         assert result.terminated_by is Termination.GRADIENT_TOLERANCE
         assert result.iterations == reference.iterations
         assert result.grad_norm_final == np.linalg.norm(p.gradient(result.x_final))
+
+    @pytest.mark.parametrize("max_iterations", [3, 1_000_000])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_iterate_aborts_the_solve(self, monkeypatch, bad, max_iterations):
+        # One step that produces a non-finite x_next with a finite carried
+        # gradient: the next true gradient is not finite, and the driver
+        # raises rather than report the solve as converged or capped.
+        p = diag_problem(np.linspace(1.0, 100.0, 40), b=np.ones(40))
+        real = solver_module._center_step
+        calls = 0
+
+        def faulty(problem, x, g, gg):
+            nonlocal calls
+            x_next, g_next, g_y, fields = real(problem, x, g, gg)
+            calls += 1
+            if calls == 3:
+                x_next = x_next.copy()
+                x_next[0] = bad
+            return x_next, g_next, g_y, fields
+
+        monkeypatch.setattr(solver_module, "_center_step", faulty)
+        with pytest.raises(RuntimeError, match=r"^me: gradient norm is (nan|inf); aborting$"):
+            me_solve(p, np.zeros(40), SolveOptions(max_iterations=max_iterations))
+        assert calls >= 3
 
 
 class TestSolveOptionsValidation:
