@@ -1,4 +1,4 @@
-"""Instance set-up of two checkouts, side by side: writes BENCH_7.json.
+"""Instance set-up of two checkouts, side by side: writes BENCH_13.json.
 
     python3 scripts/setup_sweep.py --parent PATH
 
@@ -7,8 +7,10 @@ with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
 checkout this script lives in is the change.  Every measurement runs in a
 fresh Python process that imports the package from the tree's ``src/``, and
 the two trees alternate, so both see the same machine at about the same time.
+(``BENCH_7.json`` is an earlier run of this script, made before it measured
+the save.)
 
-The file gets three parts:
+The file gets four parts:
 
 * ``setup``: min-of-3 seconds of ``generate`` and ``load_problem`` (of
   the file ``save_problem`` wrote) for the diag and dense (rank-one) families
@@ -16,6 +18,10 @@ The file gets three parts:
   so that bit-identical instances show as equal digests;
 * ``load_rss``: the peak RSS of a fresh process that loads the rank-one
   n = 10^6 file, next to its RSS just before the load;
+* ``save_rss``: the peak RSS of a fresh process that generates the rank-one
+  n = 10^6 instance and saves it, next to its RSS just before the save
+  (which is the peak of ``generate``), and whether both trees wrote the same
+  bytes;
 * ``perfbench``: ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` result
   lines of all three workloads, three runs of each tree in alternating
   order, with the medians of every end-to-end metric and each run's cell
@@ -26,6 +32,7 @@ The file gets three parts:
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import platform
@@ -86,6 +93,18 @@ after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"before_load_mb": before, "peak_mb": after}))
 """
 
+# Runs in the fresh process: peak RSS of generate, then of one save.
+SAVE_RSS_PROBE = r"""
+import json, resource, sys
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
+
+problem = generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 10**6, 1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+save_problem(problem, sys.argv[1])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"before_save_mb": before, "peak_mb": after}))
+"""
+
 
 def _medians(runs):
     keys = runs[0]["metrics"]
@@ -107,6 +126,10 @@ def main(argv=None):
                     setup.setdefault((family, row.pop("n")), {})[name] = row
         rank1_file = os.path.join(work, "dense_1000000.txt")
         load_rss = {name: python_probe(tree, RSS_PROBE, rank1_file) for name, tree in trees.items()}
+        saved = {name: os.path.join(work, f"save_{name}.txt") for name in trees}
+        save_rss = {name: python_probe(tree, SAVE_RSS_PROBE, saved[name])
+                    for name, tree in trees.items()}
+        save_rss["same_bytes"] = filecmp.cmp(saved["parent"], saved["change"], shallow=False)
 
     perfbench = {}
     for workload in WORKLOADS:
@@ -127,15 +150,17 @@ def main(argv=None):
         }
 
     report = {
-        "what": "Instance set-up (generate, load_problem) of the parent and this change on "
-                "one machine, with the perfbench --trace 0 results of all three workloads.",
+        "what": "Instance set-up (generate, save_problem, load_problem) of the parent and this "
+                "change on one machine, with the perfbench --trace 0 results of all three "
+                "workloads.",
         "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                         "machine": platform.machine()},
         "setup": [{"family": f, "n": n, **sides} for (f, n), sides in setup.items()],
         "load_rss": {"file": "rank1 n=1000000 seed 1, written by save_problem", **load_rss},
+        "save_rss": {"instance": "rank1 n=1000000 seed 1", **save_rss},
         "perfbench": perfbench,
     }
-    with open(os.path.join(ROOT, "BENCH_7.json"), "w") as fh:
+    with open(os.path.join(ROOT, "BENCH_13.json"), "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for row in report["setup"]:
@@ -145,6 +170,11 @@ def main(argv=None):
               f"  same arrays: {p['generated'] == c['generated'] and p['loaded'] == c['loaded']}")
     for name, rss in load_rss.items():
         print(f"load peak RSS {name}: {rss['peak_mb']:.0f} MB ({rss['before_load_mb']:.0f} MB before)")
+    for name in trees:
+        rss = save_rss[name]
+        print(f"save peak RSS {name}: {rss['peak_mb']:.0f} MB ({rss['before_save_mb']:.0f} MB "
+              "before, the peak of generate)")
+    print(f"saved files identical: {save_rss['same_bytes']}")
     for workload, w in perfbench.items():
         print(f"{workload}: parent {w['parent_median']} change {w['change_median']} "
               f"correct: {w['all_correct']} cells match: {w['cells_match']}")

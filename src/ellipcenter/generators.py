@@ -34,6 +34,10 @@ file)::
     b
     <n entries>
     c <value>                             optional
+
+``save_problem`` writes a line's numbers a slice at a time and
+``load_problem`` reads a line a piece at a time, so beside the arrays each
+holds one piece of text and its tokens, however long the lines are.
 """
 
 from __future__ import annotations
@@ -173,29 +177,48 @@ class ProblemFormatError(ValueError):
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-class _Cursor:
-    """The tokens of a problem file, split one line at a time.  ``lineno`` is
-    the line of the next token (at the end of the file, of the last one)."""
+# load_problem reads a line at most this many characters at a time, and
+# save_problem formats this many values at a time, so neither holds more
+# than one such piece of a line's text beside the arrays.
+_PIECE_CHARS = 65536
+_SLICE_VALUES = 16384
 
-    def __init__(self, lines):
-        self._lines = enumerate(lines, start=1)
+
+class _Cursor:
+    """The tokens of a problem file, split one piece of a line at a time.
+    ``lineno`` is the line of the next token (at the end of the file, of the
+    last one).  A byte that is not valid UTF-8 is found when its piece is
+    read, so on a line longer than a piece, a bad token in an earlier piece
+    is reported first."""
+
+    def __init__(self, fh):
+        self._readline = fh.readline
+        self._line = 1  # the line of the next piece
+        self._carry = ""  # a token that the last piece may have cut
         self._tokens, self._pos = [], 0
         self.lineno = self.last_line = 1
 
     def peek(self):
         """The next token, or None at the end of the file."""
         while self._pos >= len(self._tokens):
-            line = next(self._lines, None)
-            if line is None:
+            piece = self._readline(_PIECE_CHARS)
+            if not (piece or self._carry):
                 self.lineno = self.last_line
                 return None
-            self.lineno, text = line
-            if not text.isascii() and (bad := _UNDECODED.search(text)):
+            self.lineno = self._line
+            if not piece.isascii() and (bad := _UNDECODED.search(piece)):
                 byte = ord(bad.group()) - 0xDC00
                 raise ProblemFormatError(
                     f"line {self.lineno}: byte 0x{byte:02x} is not valid UTF-8"
                 )
-            self._tokens, self._pos = text.split(), 0
+            tokens = (self._carry + piece).split()
+            self._carry = ""
+            if piece.endswith("\n"):
+                self._line += 1
+            elif piece and not piece[-1].isspace():
+                # The line goes on in the next piece, maybe inside this token.
+                self._carry = tokens.pop()
+            self._tokens, self._pos = tokens, 0
         return self._tokens[self._pos]
 
     def take(self):
@@ -205,7 +228,7 @@ class _Cursor:
         return tok
 
     def floats(self, count, section):
-        """The next count tokens as floats, each line's share converted in bulk."""
+        """The next count tokens as floats, each piece's share converted in bulk."""
         values = np.empty(count)
         done = 0
         while done < count:
@@ -307,8 +330,13 @@ def _parse(cur: _Cursor) -> QuadraticProblem:
     return problem
 
 
-def _joined(values: np.ndarray) -> str:
-    return " ".join(map("{:.17g}".format, values.tolist()))
+def _write_line(fh, values: np.ndarray) -> None:
+    """Write values as one line of "%.17g" tokens, a slice at a time."""
+    for start in range(0, values.size, _SLICE_VALUES):
+        if start:
+            fh.write(" ")
+        fh.write(" ".join(map("{:.17g}".format, values[start:start + _SLICE_VALUES].tolist())))
+    fh.write("\n")
 
 
 def save_problem(problem: QuadraticProblem, path) -> None:
@@ -316,15 +344,18 @@ def save_problem(problem: QuadraticProblem, path) -> None:
     op = problem.A
     n = problem.dim
     if isinstance(op, DiagonalOperator):
-        lines = [f"diag {n}", _joined(op.diag)]
+        header, rows = f"diag {n}", [op.diag]
     elif isinstance(op, RankOneOperator):
-        lines = [f"rank1 {n} {op.sigma:.17g}", _joined(op.v)]
+        header, rows = f"rank1 {n} {op.sigma:.17g}", [op.v]
     elif isinstance(op, DenseOperator):
-        lines = [f"dense {n}", *map(_joined, op.matrix)]
+        header, rows = f"dense {n}", op.matrix
     else:
         raise TypeError(f"unsupported operator type {type(op).__name__}")
-    lines += ["b", _joined(problem.b)]
-    if problem.c != 0.0:
-        lines.append(f"c {problem.c:.17g}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            _write_line(fh, row)
+        fh.write("b\n")
+        _write_line(fh, problem.b)
+        if problem.c != 0.0:
+            fh.write(f"c {problem.c:.17g}\n")

@@ -109,7 +109,10 @@ class RankOneOperator:
 
     def matvec(self, x):
         x = _as_vector(x, self.dim)
-        return (self.v @ x) * self.v + self.sigma * x
+        # (v.x) v + sigma x with one fresh n-vector fewer; the same bits.
+        out = np.multiply(self.v, self.v @ x)
+        out += np.multiply(x, self.sigma)
+        return out
 
     def solve(self, x):
         """Apply the exact inverse via the Sherman-Morrison identity."""

@@ -66,6 +66,27 @@ def reference_trace_csv(path, records):
             writer.writerow([i, rec.branch.value if rec.branch else "", *cells])
 
 
+def reference_save_problem(problem, path):
+    """The problem file as one string of whole joined lines, written at once:
+    the oracle that the library's sliced writer is checked against."""
+
+    def joined(values):
+        return " ".join(map("{:.17g}".format, values.tolist()))
+
+    op = problem.A
+    if hasattr(op, "diag"):
+        lines = [f"diag {problem.dim}", joined(op.diag)]
+    elif hasattr(op, "v"):
+        lines = [f"rank1 {problem.dim} {op.sigma:.17g}", joined(op.v)]
+    else:
+        lines = [f"dense {problem.dim}", *map(joined, op.matrix)]
+    lines += ["b", joined(problem.b)]
+    if problem.c != 0.0:
+        lines.append(f"c {problem.c:.17g}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def reference_wolfe_search(oracle, x, d, params):
     """The Wolfe search as it was before the line model, with a gradient at
     every trial point: the oracle that the library's one-matvec search is

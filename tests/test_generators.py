@@ -1,10 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import SplitMix64, splitmix_instance
+from conftest import SplitMix64, reference_save_problem, splitmix_instance
 
+import ellipcenter.generators as generators
 from ellipcenter.generators import (
     InstanceFamily,
     InstanceSpec,
@@ -394,3 +399,105 @@ class TestLoadProblem:
         x = rng.standard_normal(p.dim)
         assert q.value(x) == p.value(x)
         np.testing.assert_array_equal(q.b, p.b)
+
+
+PIECE_SIZES = (1, 2, 7)
+
+
+class TestLoadProblemInPieces(TestLoadProblem):
+    """Every fixture of TestLoadProblem again, read a few characters a piece
+    and saved a few values a slice, so that tokens and line ends straddle
+    pieces; arrays, saved bytes, error texts and line numbers stay the same."""
+
+    @pytest.fixture(autouse=True, params=PIECE_SIZES)
+    def small_pieces(self, request, monkeypatch):
+        monkeypatch.setattr(generators, "_PIECE_CHARS", request.param)
+        monkeypatch.setattr(generators, "_SLICE_VALUES", request.param)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        # read whole, and the long line counts as one line
+        ("1234", "line 4: expected a number in the b section, got 'q'"),
+        ("12x4", "line 2: expected a number in the diagonal section, got '12x4'"),
+    ],
+)
+def test_token_straddling_a_piece(tmp_path, token, message):
+    # The diagonal line's first piece ends inside its last-but-one token.
+    ones = generators._PIECE_CHARS // 2 - 1
+    n = ones + 2
+    path = tmp_path / "long.txt"
+    path.write_text(f"diag {n}\n" + "1 " * ones + f"{token} 1\nb\n" + "0 " * (n - 1) + "q\n")
+    with pytest.raises(ProblemFormatError) as info:
+        load_problem(path)
+    assert str(info.value) == message
+
+
+@st.composite
+def problems(draw):
+    """Small problems of all three operators, with any finite b and c."""
+    kind = draw(st.sampled_from(["diag", "rank1", "dense"]))
+    n = draw(st.integers(1, 12))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    if kind == "diag":
+        op = DiagonalOperator(draw(arrays(np.float64, n, elements=positive)))
+    elif kind == "rank1":
+        v = draw(arrays(np.float64, n, elements=st.floats(-1e150, 1e150)))
+        op = RankOneOperator(v, draw(positive))
+    else:
+        s = draw(arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3)))
+        m = s + s.T
+        np.fill_diagonal(m, np.abs(m).sum(axis=1) + 1.0)  # diagonally dominant
+        op = DenseOperator(m)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return QuadraticProblem(op, draw(arrays(np.float64, n, elements=finite)), draw(finite))
+
+
+def _entries(problem):
+    op = problem.A
+    return op.diag if hasattr(op, "diag") else op.v if hasattr(op, "v") else op.matrix
+
+
+@pytest.mark.parametrize("size", [*PIECE_SIZES, None], ids=[*map(str, PIECE_SIZES), "default"])
+@given(problem=problems())
+def test_sliced_file_round_trip(tmp_path_factory, size, problem):
+    # The sliced writer gives the whole-line writer's bytes, and the pieced
+    # reader gives back the very bits.
+    work = tmp_path_factory.getbasetemp() / f"round-{size}"
+    work.mkdir(exist_ok=True)
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(generators, "_PIECE_CHARS", size)
+            mp.setattr(generators, "_SLICE_VALUES", size)
+        save_problem(problem, work / "saved.txt")
+        loaded = load_problem(work / "saved.txt")
+    reference_save_problem(problem, work / "reference.txt")
+    assert (work / "saved.txt").read_bytes() == (work / "reference.txt").read_bytes()
+    assert type(loaded.A) is type(problem.A)
+    assert _entries(loaded).tobytes() == _entries(problem).tobytes()
+    assert loaded.b.tobytes() == problem.b.tobytes()
+    assert loaded.c == problem.c
+    assert getattr(loaded.A, "sigma", None) == getattr(problem.A, "sigma", None)
+
+
+@pytest.mark.parametrize("family", list(InstanceFamily))
+def test_files_in_bounded_memory(tmp_path, family):
+    # n = 2e5: the two arrays hold 3.05 MiB.  A whole line held as Python
+    # floats and strings would take several times that on either side.
+    problem = generate(InstanceSpec(family, 200_000, 1))
+    arrays_bytes = _entries(problem).nbytes + problem.b.nbytes
+    path = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        save_problem(problem, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_problem(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= arrays_bytes
+    assert load_peak <= 3 * arrays_bytes
+    assert _entries(loaded).tobytes() == _entries(problem).tobytes()
+    assert loaded.b.tobytes() == problem.b.tobytes()
