@@ -19,9 +19,18 @@ the bits of ``f_final`` and ``grad_norm_final``, a hash of the bytes of
 ``StepRecord`` field in order.  A cell that raises records the exception's
 type and text instead.
 
-Prints one JSON line: the number of cells, how many are identical, and the
-keys of those that differ.  Exits 1 on any difference.  Takes about
-three and a half minutes on two cores.
+Each tree also runs the CLI once, in a fresh process::
+
+    ellipcenter-bench --instance diag --n 64 --seed 1 \
+        --methods me,fast,bb-long,bb-short,cg --trace-dir D --out R
+
+Every trace CSV in D, and R's ``.instances.jsonl``, must be the same bytes in
+both trees, the report R the same apart from its ``cpu_s`` column, and the
+exit codes equal.
+
+Prints one JSON line: the number of cells, how many are identical, the keys
+of those that differ, and the CLI's files with those that differ.  Exits 1 on
+any difference.  Takes about four minutes on two cores.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 from pairing import python_probe
 
@@ -126,20 +137,60 @@ print(json.dumps(cells))
 """
 
 
+CLI_ARGS = ["--instance", "diag", "--n", "64", "--seed", "1",
+            "--methods", "me,fast,bb-long,bb-short,cg"]
+CLI_MAIN = "import sys; from ellipcenter.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cli_files(tree, work):
+    """Run the CLI grid on ``tree`` into ``work``: its exit code, and its
+    output files by name, the report without its cpu_s column."""
+    traces = os.path.join(work, "traces")
+    report = os.path.join(work, "report.csv")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    code = subprocess.run(
+        [sys.executable, "-c", CLI_MAIN, *CLI_ARGS, "--trace-dir", traces, "--out", report],
+        env=env, stdout=subprocess.DEVNULL,
+    ).returncode
+    files = {}
+    for name in sorted(os.listdir(traces)):
+        with open(os.path.join(traces, name), "rb") as fh:
+            files[name] = fh.read()
+    with open(report + ".instances.jsonl", "rb") as fh:
+        files["report.csv.instances.jsonl"] = fh.read()
+    with open(report) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    drop = rows[0].index("cpu_s")
+    files["report.csv without cpu_s"] = [row[:drop] + row[drop + 1:] for row in rows]
+    return code, files
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout to compare against")
     args = parser.parse_args(argv)
+    parent_tree = os.path.abspath(args.parent)
     grid = (json.dumps(INSTANCES), json.dumps(METHODS))
-    parent = python_probe(os.path.abspath(args.parent), GRID_PROBE, *grid)
+    parent = python_probe(parent_tree, GRID_PROBE, *grid)
     change = python_probe(ROOT, GRID_PROBE, *grid)
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    with tempfile.TemporaryDirectory() as work:
+        os.mkdir(os.path.join(work, "parent"))
+        os.mkdir(os.path.join(work, "change"))
+        parent_code, parent_files = cli_files(parent_tree, os.path.join(work, "parent"))
+        change_code, change_files = cli_files(ROOT, os.path.join(work, "change"))
+    cli_differ = sorted(name for name in parent_files.keys() | change_files.keys()
+                        if parent_files.get(name) != change_files.get(name))
+    if parent_code != change_code:
+        cli_differ.append(f"exit code {parent_code} vs {change_code}")
     print(json.dumps({
         "cells": len(change),
         "identical": len(change) - len(differ),
         "differ": differ,
+        "cli_files": len(change_files),
+        "cli_differ": cli_differ,
     }))
-    return 1 if differ else 0
+    return 1 if differ or cli_differ else 0
 
 
 if __name__ == "__main__":

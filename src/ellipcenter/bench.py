@@ -32,7 +32,14 @@ from .generators import (
     instance_metadata,
     load_problem,
 )
-from .solver import EpsilonMode, SolveOptions, Termination, me_solve, write_trace_csv
+from .solver import (
+    EpsilonMode,
+    SolveOptions,
+    Termination,
+    _PackedTrace,
+    me_solve,
+    write_trace_csv,
+)
 
 __all__ = [
     "METHODS",
@@ -154,16 +161,15 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         x1 = np.zeros(problem.dim)
         for method in cfg.methods:
             solve = METHODS[method]
-            # The records of a traced cell's last repetition, dropped once written.
-            records = []
-            observer = None if cfg.trace_dir is None else (
-                lambda x, g, record: records.append(record)
-            )
+            # The packed records of a traced cell's last repetition, dropped
+            # once written.
+            trace = _PackedTrace()
+            observer = None if cfg.trace_dir is None else trace
             options = _method_options(cfg, method, meta["family"], observer)
             error = None
             cpu_time = math.inf
             for _ in range(cfg.repetitions):
-                records.clear()
+                trace.clear()
                 start = time.process_time()
                 try:
                     result = solve(problem, x1, options)
@@ -181,7 +187,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
                     # The grid position keeps names apart when two instances
                     # share a family and size, such as two problem files.
                     name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
-                    write_trace_csv(os.path.join(cfg.trace_dir, name), records)
+                    write_trace_csv(os.path.join(cfg.trace_dir, name), trace)
             rows.append(
                 BenchRow(
                     method=method,

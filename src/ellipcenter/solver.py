@@ -16,10 +16,12 @@ the same problem are safe.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -379,31 +381,164 @@ def me_solve(
 _TRACE_HEADER = "iter,branch,f,grad_norm,t,delta,alpha,beta\r\n"
 # Rows as csv.writer wrote them from the cells: comma-separated, CRLF ends,
 # no quoting (no cell holds a comma, quote or line break), each float as
-# "%.17g" and a None cell blank.  One format per common row kind.
-_CENTER_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
-_BASELINE_ROW = "%d,,%.17g,%.17g,,,,\r\n"
+# "%.17g" and a None cell blank.  The two packed row kinds have one format
+# each, applied to a run of k rows at once as (format * k) % cells.
+_CENTER, _BASELINE, _OTHER = 0, 1, 2
+_ROW = {
+    _CENTER: "%d," + Branch.ELLIPSE_CENTER.value + ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
+    _BASELINE: "%d,,%.17g,%.17g,,,,\r\n",
+}
+_WIDTH = {_CENTER: 6, _BASELINE: 2}  # numbers a packed row stores
 _NO_STEP = (None, None, None, None, None)
+# Rows per packed batch: a trace holds at most this many StepRecords before
+# it packs them, and the writer formats at most this many rows at a time,
+# so both hold about 100 KB beside the packed numbers.
+_BATCH_ROWS = 256
 
 
-def _trace_lines(records):
-    yield _TRACE_HEADER
-    for i, rec in enumerate(records, start=1):
-        f, norm, branch, t, delta, alpha, beta = rec
-        if None not in rec:
-            yield _CENTER_ROW % (i, branch.value, f, norm, t, delta, alpha, beta)
-        elif rec[2:] == _NO_STEP and f is not None and norm is not None:
-            yield _BASELINE_ROW % (i, f, norm)
+def _kind(record) -> int:
+    if None not in record:
+        return _CENTER if record[2] is Branch.ELLIPSE_CENTER else _OTHER
+    if record[2:] == _NO_STEP and None not in record[:2]:
+        return _BASELINE
+    return _OTHER
+
+
+def _pack(records):
+    """One batch of StepRecords as ``(kinds, values, others)``: a kind byte
+    per row, the packed rows' numbers as doubles in row order, and the
+    records of the ``_OTHER`` rows."""
+    k = len(records)
+    f, norm, branch, *step = zip(*records)
+    # A batch of one packed kind is packed by one struct call, which raises
+    # on a None among its numbers; the loop below takes any other batch.
+    if branch.count(Branch.ELLIPSE_CENTER) == k:
+        kind, fields = _CENTER, (f, norm, *step)
+    elif all(column.count(None) == k for column in (branch, *step)):
+        kind, fields = _BASELINE, (f, norm)
+    else:
+        fields = ()
+    if fields:
+        try:
+            values = struct.pack(f"{len(fields) * k}d", *chain.from_iterable(zip(*fields)))
+            return bytes((kind,)) * k, values, ()
+        except struct.error:
+            pass
+    kinds = bytearray()
+    values = []
+    others = []
+    for record in records:
+        kind = _kind(record)
+        kinds.append(kind)
+        if kind == _OTHER:
+            others.append(record)
         else:
-            cells = ("" if v is None else "%.17g" % v for v in (f, norm, t, delta, alpha, beta))
-            yield "%d,%s,%s\r\n" % (i, branch.value if branch else "", ",".join(cells))
+            values += record[:2]
+            if kind == _CENTER:
+                values += record[3:]
+    return bytes(kinds), struct.pack(f"{len(values)}d", *values), others
+
+
+class _PackedTrace:
+    """An observer that keeps the ``StepRecord`` of each step, packed.
+
+    A center row (``ELLIPSE_CENTER``, no field None) keeps its six numbers
+    as doubles and a baseline row (only f and the gradient norm set) its
+    two, beside one kind byte: 49 and 17 bytes a step, where the record
+    itself takes about 250.  Any other row keeps its record.  Steps are
+    packed ``_BATCH_ROWS`` at a time.  ``len`` counts the steps seen,
+    iterating gives their records back in order (numbers as floats), and
+    ``write_trace_csv`` formats the packed batches as they are.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self._full = []  # packed (kinds, values, others), _BATCH_ROWS rows each
+        self._pending = []  # records not yet packed
+
+    def __len__(self):
+        return _BATCH_ROWS * len(self._full) + len(self._pending)
+
+    def __call__(self, x, g, record):
+        pending = self._pending
+        pending.append(record)
+        if len(pending) == _BATCH_ROWS:
+            self._full.append(_pack(pending))
+            pending.clear()
+
+    def packed(self):
+        """The trace's batches in order, the pending records packed last."""
+        yield from self._full
+        if self._pending:
+            yield _pack(self._pending)
+
+    def __iter__(self):
+        for kinds, values, others in self.packed():
+            values = memoryview(values).cast("d")
+            others = iter(others)
+            at = 0
+            for kind in kinds:
+                if kind == _CENTER:
+                    f, norm, t, delta, alpha, beta = values[at:at + 6]
+                    yield StepRecord(f, norm, Branch.ELLIPSE_CENTER, t, delta, alpha, beta)
+                elif kind == _BASELINE:
+                    yield StepRecord(values[at], values[at + 1])
+                else:
+                    yield next(others)
+                at += _WIDTH.get(kind, 0)
+
+
+def _batches(records):
+    # The packed batches of a trace, or of any iterable of StepRecords as it
+    # is read.
+    if isinstance(records, _PackedTrace):
+        yield from records.packed()
+        return
+    records = iter(records)
+    while batch := list(islice(records, _BATCH_ROWS)):
+        yield _pack(batch)
+
+
+def _other_row(i, record):
+    f, norm, branch, t, delta, alpha, beta = record
+    cells = ("" if v is None else "%.17g" % v for v in (f, norm, t, delta, alpha, beta))
+    return "%d,%s,%s\r\n" % (i, branch.value if branch else "", ",".join(cells))
+
+
+def _trace_text(records):
+    # The CSV text, one string per run of one row kind within a batch.
+    yield _TRACE_HEADER
+    i = 1
+    for kinds, values, others in _batches(records):
+        values = memoryview(values).cast("d")
+        others = iter(others)
+        at = 0
+        for kind, run in groupby(kinds):
+            k = len(list(run))
+            if kind == _OTHER:
+                yield "".join(_other_row(i + m, next(others)) for m in range(k))
+            else:
+                width = _WIDTH[kind]
+                cells = [None] * ((width + 1) * k)
+                cells[::width + 1] = range(i, i + k)
+                for j in range(width):
+                    cells[j + 1::width + 1] = values[at + j:at + width * k:width]
+                yield (_ROW[kind] * k) % tuple(cells)
+                at += width * k
+            i += k
 
 
 def write_trace_csv(path, records) -> None:
     """Write ``StepRecord`` rows to CSV, one per update in order.
 
     Each row reports the state at the start of that iteration; fields a
-    record leaves None stay blank.  Rows are formatted as they are written,
-    so no copy of the whole file is held.
+    record leaves None stay blank.  ``records`` is any iterable of records,
+    read and packed 256 at a time, or the packed trace a traced benchmark
+    cell keeps, formatted as it is.  Each run of center or baseline rows in
+    a batch is formatted with one ``%``, so no copy of the whole file is
+    held.
     """
     with open(path, "w", newline="") as fh:
-        fh.writelines(_trace_lines(records))
+        fh.writelines(_trace_text(records))

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ellipcenter.bench import (
 )
 from ellipcenter.generators import InstanceFamily, InstanceSpec, save_problem
 from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
-from ellipcenter.solver import EpsilonMode, SolveOptions
+from ellipcenter.solver import _BATCH_ROWS, EpsilonMode, SolveOptions
 
 
 def diag_spec(n, seed=1, **kw):
@@ -197,17 +198,43 @@ class TestRunBenchmark:
         assert rows[0]["t"] == rows[0]["delta"] == rows[0]["alpha"] == ""
 
     def test_trace_holds_last_repetition_only(self, tmp_path):
+        # The capped diag cells of me and fast run past one packed batch.
         for reps in (1, 3):
             cfg = BenchConfig(
-                instances=(dense_spec(12, seed=3),),
-                methods=("me", "cg"),
+                instances=(dense_spec(12, seed=3), diag_spec(20)),
+                methods=("me", "cg", "fast"),
+                max_iterations=600,
                 repetitions=reps,
                 trace_dir=str(tmp_path / f"reps{reps}"),
             )
             run_benchmark(cfg)
-        for name in ("me_dense_12_0.csv", "cg_dense_12_0.csv"):
+        names = [f"{m}_{cell}.csv" for m in ("me", "cg", "fast")
+                 for cell in ("dense_12_0", "diag_20_1")]
+        for name in names:
             once = (tmp_path / "reps1" / name).read_bytes()
             assert (tmp_path / "reps3" / name).read_bytes() == once
+        for name in ("me_diag_20_1.csv", "fast_diag_20_1.csv"):
+            assert (tmp_path / "reps1" / name).read_bytes().count(b"\n") == 601 > _BATCH_ROWS
+
+    def test_traced_cell_holds_packed_steps(self, tmp_path):
+        # A traced cell keeps its steps until it writes them.  Packed, a
+        # center step holds 49 bytes of numbers and kind; a StepRecord of
+        # Python floats held about 250.
+        def peak(trace_dir):
+            cfg = BenchConfig(instances=(diag_spec(64),), methods=("me",),
+                              max_iterations=20_000, trace_dir=trace_dir)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                row = run_benchmark(cfg).rows[0]
+                return tracemalloc.get_traced_memory()[1] - base, row.iterations
+            finally:
+                tracemalloc.stop()
+
+        untraced, steps = peak(None)
+        traced, traced_steps = peak(str(tmp_path))
+        assert steps == traced_steps == 20_000
+        assert traced - untraced < 64 * steps
 
     def test_trace_names_unique_per_cell(self, tmp_path):
         # Two files of one size, and a diag and a dense instance of one size

@@ -1,5 +1,7 @@
 import csv
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from ellipcenter.solver import (
     SolveOptions,
     StepRecord,
     Termination,
+    _BATCH_ROWS,
+    _PackedTrace,
     _coeffs_from_gram,
     me_iterate,
     me_solve,
@@ -506,7 +510,8 @@ def maybe(strategy):
 
 
 # Baseline rows, full center rows, and rows with any cells None.
-_cells = (st.floats(), st.floats(), st.sampled_from(Branch), *[st.floats()] * 4)
+_number = st.one_of(st.sampled_from(AWKWARD), st.floats())
+_cells = (_number, _number, st.sampled_from(Branch), *[_number] * 4)
 step_records = st.one_of(
     st.builds(StepRecord, *_cells[:2]),
     st.builds(StepRecord, *_cells),
@@ -517,3 +522,56 @@ step_records = st.one_of(
 @given(st.lists(step_records, max_size=8))
 def test_any_trace_rows_match_csv_writer(tmp_path_factory, records):
     assert_trace_matches_reference(tmp_path_factory.getbasetemp(), records)
+
+
+def bits(record):
+    # A record's fields with each float as its bytes, so that NaNs compare.
+    return tuple(struct.pack("d", v) if isinstance(v, float) else v for v in record)
+
+
+def packed_trace(records):
+    trace = _PackedTrace()
+    for record in records:
+        trace(None, None, record)
+    return trace
+
+
+def assert_packed_round_trip(directory, records):
+    trace = packed_trace(records)
+    assert len(trace) == len(records)
+    assert list(map(bits, trace)) == list(map(bits, records))
+    assert_trace_matches_reference(directory, trace)
+    # Any other iterable is packed batch by batch as it is read.
+    write_trace_csv(directory / "iter.csv", iter(records))
+    assert (directory / "iter.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("batch_rows", [1, 3, _BATCH_ROWS])
+@given(records=st.lists(step_records, max_size=12))
+def test_packed_trace_round_trip(tmp_path_factory, batch_rows, records):
+    with mock.patch.object(solver_module, "_BATCH_ROWS", batch_rows):
+        assert_packed_round_trip(tmp_path_factory.getbasetemp(), records)
+
+
+def test_packed_trace_batch_edges(tmp_path):
+    kinds = {
+        "center": lambda i: StepRecord(i / 7, 2.0 ** -i, Branch.ELLIPSE_CENTER, 3.0 * i,
+                                       -0.0, math.nan, -i / 3),
+        "baseline": lambda i: StepRecord(i / 7, math.inf if i % 2 else 5e-324),
+        "midpoint": lambda i: StepRecord(i / 7, 1.0, Branch.MIDPOINT, t=2.0 * i),
+        "center with a None": lambda i: StepRecord(i / 7, 1.0, Branch.ELLIPSE_CENTER, t=1.0),
+    }
+    for length in (0, 1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1):
+        for make in kinds.values():
+            run = [make(i) for i in range(length)]
+            assert_packed_round_trip(tmp_path, run)
+            # Runs of this length behind and between runs of other kinds.
+            others = [record for other in kinds.values() if other is not make
+                      for record in (other(-1), other(-2))]
+            assert_packed_round_trip(tmp_path, others[:3] + run + others[3:] + run)
+    makers = list(kinds.values())
+    changing = [makers[i % len(makers)](i) for i in range(2 * _BATCH_ROWS + 3)]
+    assert_packed_round_trip(tmp_path, changing)
+    trace = packed_trace(changing)
+    trace.clear()
+    assert len(trace) == 0 and list(trace) == []
