@@ -1,6 +1,6 @@
-"""Traced benchmark cells of two checkouts, side by side: writes BENCH_14.json.
+"""Traced benchmark cells of two checkouts, side by side, as one JSON file.
 
-    python3 scripts/trace_sweep.py --parent PATH
+    python3 scripts/trace_sweep.py --parent PATH --out BENCH_N.json
 
 PATH is a checkout of the commit to compare against, for instance one made
 with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
@@ -11,7 +11,7 @@ the two trees alternate, so both see the same machine at about the same time
 
 The grid is the ``diag-64-tracedir`` workload's: the diag instance at n = 64,
 seed 1, with me, fast, bb-long, bb-short and cg, through ``run_benchmark``.
-The file gets four parts:
+The report goes to the ``--out`` path and gets four parts:
 
 * ``vmhwm``: the peak resident set (``VmHWM`` in ``/proc/self/status``) of a
   process that runs the grid with a trace directory, and of one that runs it
@@ -135,6 +135,7 @@ def alternate(trees, runs, probe, *args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
+    parser.add_argument("--out", required=True, help="path of the JSON report to write")
     args = parser.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
     methods = json.dumps(METHODS)
@@ -168,7 +169,7 @@ def main(argv=None):
         "write": {**write, "same_traces": same_traces},
         "perfbench": perfbench,
     }
-    with open(os.path.join(ROOT, "BENCH_14.json"), "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for mode, sides in vmhwm.items():

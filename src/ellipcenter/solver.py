@@ -21,6 +21,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain, groupby, islice
 from typing import NamedTuple
 
@@ -164,8 +165,8 @@ _REFRESH_STEPS = 50
 
 
 # The 1-D dot products on the per-step path (here, in _center_step and in
-# the loop of _drive) are written a.dot(b): the same BLAS ddot as a @ b, so the
-# same bits, with less dispatch around it (0.8 against 1.3 us at n = 64).
+# _drive) are written a.dot(b): the same BLAS ddot as a @ b, so the same bits,
+# with less dispatch around it (0.8 against 1.3 us at n = 64).
 def _value_from_gradient(problem: QuadraticProblem, x, g) -> float:
     # f(x) = 1/2 x^T g - 1/2 b^T x + c from a gradient g = A x - b in hand.
     return 0.5 * float(x.dot(g) - problem.b.dot(x)) + problem.c
@@ -313,7 +314,7 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     """
     x = _as_vector(x1, problem.dim, name="x1")
     g = problem.gradient(x)
-    gg = float(g @ g)
+    gg = float(g.dot(g))
     grad_norm = math.sqrt(gg)
     threshold = options.gradient_threshold(grad_norm)
     cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
@@ -381,81 +382,75 @@ def me_solve(
 _TRACE_HEADER = "iter,branch,f,grad_norm,t,delta,alpha,beta\r\n"
 # Rows as csv.writer wrote them from the cells: comma-separated, CRLF ends,
 # no quoting (no cell holds a comma, quote or line break), each float as
-# "%.17g" and a None cell blank.  The two packed row kinds have one format
-# each, applied to a run of k rows at once as (format * k) % cells.
-_CENTER, _BASELINE, _OTHER = 0, 1, 2
-_ROW = {
-    _CENTER: "%d," + Branch.ELLIPSE_CENTER.value + ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n",
-    _BASELINE: "%d,,%.17g,%.17g,,,,\r\n",
-}
-_WIDTH = {_CENTER: 6, _BASELINE: 2}  # numbers a packed row stores
-_NO_STEP = (None, None, None, None, None)
+# "%.17g" and a None cell blank.  A packed row is one code byte and its
+# numbers that are not None, as doubles.  Bits 0-1 of the code are the
+# branch's index in _BRANCHES, and bit j + 2 is set when the j-th of f,
+# grad_norm, t, delta, alpha and beta is None.  Rows of one code share one
+# format, applied to a run of k rows at once as (format * k) % cells.
+_BRANCHES = (None, *Branch)
 # Rows per packed batch: a trace holds at most this many StepRecords before
 # it packs them, and the writer formats at most this many rows at a time,
 # so both hold about 100 KB beside the packed numbers.
 _BATCH_ROWS = 256
 
 
-def _kind(record) -> int:
-    if None not in record:
-        return _CENTER if record[2] is Branch.ELLIPSE_CENTER else _OTHER
-    if record[2:] == _NO_STEP and None not in record[:2]:
-        return _BASELINE
-    return _OTHER
+def _code(record) -> int:
+    f, norm, branch, *step = record
+    blank = sum(4 << j for j, v in enumerate((f, norm, *step)) if v is None)
+    return _BRANCHES.index(branch) | blank
+
+
+@cache
+def _layout(code: int):
+    # (width, row format) of the rows of one code: the numbers a row stores,
+    # and the "%" format of its cells.  A code is one byte, so the cache
+    # holds at most 256 entries.
+    branch = _BRANCHES[code & 3]
+    cells = ["" if code >> (j + 2) & 1 else "%.17g" for j in range(6)]
+    row = ",".join(["%d", branch.value if branch else "", *cells]) + "\r\n"
+    return cells.count("%.17g"), row
 
 
 def _pack(records):
-    """One batch of StepRecords as ``(kinds, values, others)``: a kind byte
-    per row, the packed rows' numbers as doubles in row order, and the
-    records of the ``_OTHER`` rows."""
+    """One batch of StepRecords as ``(codes, values)``: a code byte per row,
+    and each row's numbers that are not None as doubles in row order."""
     k = len(records)
     f, norm, branch, *step = zip(*records)
-    # A batch of one packed kind is packed by one struct call, which raises
-    # on a None among its numbers; the loop below takes any other batch.
-    if branch.count(Branch.ELLIPSE_CENTER) == k:
-        kind, fields = _CENTER, (f, norm, *step)
-    elif all(column.count(None) == k for column in (branch, *step)):
-        kind, fields = _BASELINE, (f, norm)
-    else:
-        fields = ()
-    if fields:
+    numbers = (f, norm, *step)
+    code = _code(records[0])
+    blank = [code >> (j + 2) & 1 for j in range(6)]
+    # A batch whose rows all have the first row's code is packed by one
+    # struct call, which raises on a None in a present column.  Only the
+    # blank columns are counted: None == float costs about 30 ns a compare.
+    if branch.count(branch[0]) == k and all(
+        column.count(None) == k for column, b in zip(numbers, blank) if b
+    ):
+        present = [column for column, b in zip(numbers, blank) if not b]
         try:
-            values = struct.pack(f"{len(fields) * k}d", *chain.from_iterable(zip(*fields)))
-            return bytes((kind,)) * k, values, ()
+            values = struct.pack(f"{len(present) * k}d", *chain.from_iterable(zip(*present)))
+            return bytes((code,)) * k, values
         except struct.error:
             pass
-    kinds = bytearray()
-    values = []
-    others = []
-    for record in records:
-        kind = _kind(record)
-        kinds.append(kind)
-        if kind == _OTHER:
-            others.append(record)
-        else:
-            values += record[:2]
-            if kind == _CENTER:
-                values += record[3:]
-    return bytes(kinds), struct.pack(f"{len(values)}d", *values), others
+    values = [v for record in records for v in (*record[:2], *record[3:]) if v is not None]
+    return bytes(map(_code, records)), struct.pack(f"{len(values)}d", *values)
 
 
 class _PackedTrace:
     """An observer that keeps the ``StepRecord`` of each step, packed.
 
-    A center row (``ELLIPSE_CENTER``, no field None) keeps its six numbers
-    as doubles and a baseline row (only f and the gradient norm set) its
-    two, beside one kind byte: 49 and 17 bytes a step, where the record
-    itself takes about 250.  Any other row keeps its record.  Steps are
-    packed ``_BATCH_ROWS`` at a time.  ``len`` counts the steps seen,
-    iterating gives their records back in order (numbers as floats), and
-    ``write_trace_csv`` formats the packed batches as they are.
+    Each row keeps one code byte, which names its branch and its None
+    fields, and its other numbers as doubles: 49 bytes a center step, 25 a
+    midpoint step and 17 a baseline step, where a record takes about 190
+    (midpoint) to 250 (center).  Steps are packed ``_BATCH_ROWS`` at a
+    time.  ``len`` counts the steps seen, and ``write_trace_csv`` formats
+    the packed batches as they are.
     """
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self._full = []  # packed (kinds, values, others), _BATCH_ROWS rows each
+        self._full = []  # packed (codes, values), _BATCH_ROWS rows each
         self._pending = []  # records not yet packed
 
     def __len__(self):
@@ -474,21 +469,6 @@ class _PackedTrace:
         if self._pending:
             yield _pack(self._pending)
 
-    def __iter__(self):
-        for kinds, values, others in self.packed():
-            values = memoryview(values).cast("d")
-            others = iter(others)
-            at = 0
-            for kind in kinds:
-                if kind == _CENTER:
-                    f, norm, t, delta, alpha, beta = values[at:at + 6]
-                    yield StepRecord(f, norm, Branch.ELLIPSE_CENTER, t, delta, alpha, beta)
-                elif kind == _BASELINE:
-                    yield StepRecord(values[at], values[at + 1])
-                else:
-                    yield next(others)
-                at += _WIDTH.get(kind, 0)
-
 
 def _batches(records):
     # The packed batches of a trace, or of any iterable of StepRecords as it
@@ -501,32 +481,22 @@ def _batches(records):
         yield _pack(batch)
 
 
-def _other_row(i, record):
-    f, norm, branch, t, delta, alpha, beta = record
-    cells = ("" if v is None else "%.17g" % v for v in (f, norm, t, delta, alpha, beta))
-    return "%d,%s,%s\r\n" % (i, branch.value if branch else "", ",".join(cells))
-
-
 def _trace_text(records):
-    # The CSV text, one string per run of one row kind within a batch.
+    # The CSV text, one string per run of one code within a batch.
     yield _TRACE_HEADER
     i = 1
-    for kinds, values, others in _batches(records):
+    for codes, values in _batches(records):
         values = memoryview(values).cast("d")
-        others = iter(others)
         at = 0
-        for kind, run in groupby(kinds):
+        for code, run in groupby(codes):
             k = len(list(run))
-            if kind == _OTHER:
-                yield "".join(_other_row(i + m, next(others)) for m in range(k))
-            else:
-                width = _WIDTH[kind]
-                cells = [None] * ((width + 1) * k)
-                cells[::width + 1] = range(i, i + k)
-                for j in range(width):
-                    cells[j + 1::width + 1] = values[at + j:at + width * k:width]
-                yield (_ROW[kind] * k) % tuple(cells)
-                at += width * k
+            width, row = _layout(code)
+            cells = [None] * ((width + 1) * k)
+            cells[::width + 1] = range(i, i + k)
+            for j in range(width):
+                cells[j + 1::width + 1] = values[at + j:at + width * k:width]
+            yield (row * k) % tuple(cells)
+            at += width * k
             i += k
 
 
@@ -536,9 +506,9 @@ def write_trace_csv(path, records) -> None:
     Each row reports the state at the start of that iteration; fields a
     record leaves None stay blank.  ``records`` is any iterable of records,
     read and packed 256 at a time, or the packed trace a traced benchmark
-    cell keeps, formatted as it is.  Each run of center or baseline rows in
-    a batch is formatted with one ``%``, so no copy of the whole file is
-    held.
+    cell keeps, formatted as it is.  Each run of rows with the same branch
+    and the same None fields in a batch is formatted with one ``%``, so no
+    copy of the whole file is held.
     """
     with open(path, "w", newline="") as fh:
         fh.writelines(_trace_text(records))

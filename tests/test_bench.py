@@ -166,7 +166,7 @@ class TestRunBenchmark:
             instances=(str(bad), dense_spec(10, seed=8)),
             methods=("cg", "me"),
         )
-        with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
             report = run_benchmark(cfg)
         assert len(report.rows) == 4
         assert report.rows[0].terminated_by == "error"
@@ -218,7 +218,7 @@ class TestRunBenchmark:
 
     def test_traced_cell_holds_packed_steps(self, tmp_path):
         # A traced cell keeps its steps until it writes them.  Packed, a
-        # center step holds 49 bytes of numbers and kind; a StepRecord of
+        # center step holds 49 bytes of numbers and code; a StepRecord of
         # Python floats held about 250.
         def peak(trace_dir):
             cfg = BenchConfig(instances=(diag_spec(64),), methods=("me",),

@@ -1,6 +1,6 @@
 import csv
 import math
-import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -477,8 +477,10 @@ def test_trace_csv_round_trip(tmp_path):
 AWKWARD = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5)
 
 
-def assert_trace_matches_reference(directory, records):
-    write_trace_csv(directory / "lib.csv", records)
+def assert_trace_matches_reference(directory, records, written=None):
+    # The library's CSV of ``written`` (by default the records themselves)
+    # against csv.writer's of the records.
+    write_trace_csv(directory / "lib.csv", records if written is None else written)
     reference_trace_csv(directory / "ref.csv", records)
     assert (directory / "lib.csv").read_bytes() == (directory / "ref.csv").read_bytes()
 
@@ -524,11 +526,6 @@ def test_any_trace_rows_match_csv_writer(tmp_path_factory, records):
     assert_trace_matches_reference(tmp_path_factory.getbasetemp(), records)
 
 
-def bits(record):
-    # A record's fields with each float as its bytes, so that NaNs compare.
-    return tuple(struct.pack("d", v) if isinstance(v, float) else v for v in record)
-
-
 def packed_trace(records):
     trace = _PackedTrace()
     for record in records:
@@ -539,8 +536,7 @@ def packed_trace(records):
 def assert_packed_round_trip(directory, records):
     trace = packed_trace(records)
     assert len(trace) == len(records)
-    assert list(map(bits, trace)) == list(map(bits, records))
-    assert_trace_matches_reference(directory, trace)
+    assert_trace_matches_reference(directory, records, trace)
     # Any other iterable is packed batch by batch as it is read.
     write_trace_csv(directory / "iter.csv", iter(records))
     assert (directory / "iter.csv").read_bytes() == (directory / "ref.csv").read_bytes()
@@ -560,6 +556,7 @@ def test_packed_trace_batch_edges(tmp_path):
         "baseline": lambda i: StepRecord(i / 7, math.inf if i % 2 else 5e-324),
         "midpoint": lambda i: StepRecord(i / 7, 1.0, Branch.MIDPOINT, t=2.0 * i),
         "center with a None": lambda i: StepRecord(i / 7, 1.0, Branch.ELLIPSE_CENTER, t=1.0),
+        "no numbers": lambda i: StepRecord(None, None, Branch.CONVERGED),
     }
     for length in (0, 1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1):
         for make in kinds.values():
@@ -574,4 +571,20 @@ def test_packed_trace_batch_edges(tmp_path):
     assert_packed_round_trip(tmp_path, changing)
     trace = packed_trace(changing)
     trace.clear()
-    assert len(trace) == 0 and list(trace) == []
+    assert len(trace) == 0 and list(trace.packed()) == []
+
+
+def test_packed_midpoint_rows_are_small():
+    # A midpoint row keeps its code byte and f, grad_norm and t: 25 bytes a
+    # row beside the batch objects, where its StepRecord held about 186.
+    rows = 20_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = packed_trace(StepRecord(i / 7, 1.0 + i, Branch.MIDPOINT, t=2.0 * i)
+                             for i in range(rows))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == rows
+    assert held < 32 * rows
