@@ -14,10 +14,10 @@ import subprocess
 import sys
 
 
-def python_probe(tree, code, *args):
+def python_probe(tree, code, *args, env=None):
     """Run ``code`` in a fresh process on ``tree``'s package and return the
-    JSON object it prints."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    JSON object it prints.  ``env`` adds variables to its environment."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import QuadraticProblem
+from .quadratic import QuadraticProblem, _dot
 from .solver import SolveOptions, SolverResult, _drive, _level_length
 
 __all__ = [
@@ -108,8 +108,8 @@ def _wolfe_step(problem: QuadraticProblem, g) -> float:
     # minimizer the decrease the Wolfe test compares falls below the
     # rounding of f itself.
     d = -g
-    s = float(d.dot(g))
-    q = float(d.dot(problem.A.matvec(d)))
+    s = float(_dot(d, g))
+    q = float(_dot(d, problem.A.matvec(d)))
     if not math.isfinite(q) or q <= 0.0:
         raise RuntimeError(
             f"Wolfe search: curvature d^T A d = {q!r}; operator is not positive "
@@ -127,10 +127,10 @@ def bb_step_length(s, y, variant: BBVariant) -> float:
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     if variant.short_steps:
-        yy = float(y @ y)
-        return float(s @ y) / yy if yy > 0.0 else math.nan
-    sy = float(s @ y)
-    return float(s @ s) / sy if sy > 0.0 else math.nan
+        yy = float(_dot(y, y))
+        return float(_dot(s, y)) / yy if yy > 0.0 else math.nan
+    sy = float(_dot(s, y))
+    return float(_dot(s, s)) / sy if sy > 0.0 else math.nan
 
 
 def gradient_optimal_step_solve(
@@ -144,7 +144,7 @@ def gradient_optimal_step_solve(
 
     def step(x, r, gg):
         ar = problem.A.matvec(r)
-        t = 0.5 * _level_length(gg, float(r.dot(ar)))
+        t = 0.5 * _level_length(gg, float(_dot(r, ar)))
         return x - t * r, r - t * ar, ()
 
     return _drive(problem, x1, options, step, "gradient_optimal_step", carried=True)
@@ -167,16 +167,16 @@ def cg_solve(
         if d is None:
             d = g
         else:
-            theta = -(g @ ad) / (d @ ad)
+            theta = -_dot(g, ad) / _dot(d, ad)
             d = g + theta * d
         ad = problem.A.matvec(d)
-        dad = float(d @ ad)
+        dad = float(_dot(d, ad))
         if dad <= 0.0 or not np.isfinite(dad):
             raise RuntimeError(
                 f"cg: breakdown <d, A d> = {dad!r}; operator is not positive "
                 "definite or rounding destroyed conjugacy"
             )
-        t = -(d @ g) / dad
+        t = -_dot(d, g) / dad
         return x + t * d, g + t * ad, ()
 
     cap = problem.dim + _CG_EXTRA_ITERATIONS

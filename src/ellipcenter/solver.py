@@ -9,8 +9,13 @@ The center solves a 2x2 Gram system and becomes the next iterate.  When the
 two gradients are (numerically) parallel the step falls back to the midpoint
 of x and y, which coincides with an exact-line-search gradient step.
 
-Solvers here are single-threaded over immutable inputs; concurrent solves on
-the same problem are safe.
+Solvers here run over immutable inputs; concurrent solves on the same
+problem are safe.  They are single-threaded: every 1-D dot goes through
+``quadratic._dot``, which keeps a dot that OpenBLAS would split between
+threads out of BLAS, so a solve gives the same bits for any thread count.
+The one exception is the dense operator's matrix-vector product, a BLAS gemv
+that may share its rows out between threads; it gave the same bits on 1 and
+2 threads at n = 500 and 3,000.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadratic import QuadraticProblem, _as_vector
+from .quadratic import QuadraticProblem, _as_vector, _dot
 
 __all__ = [
     "Branch",
@@ -164,12 +169,9 @@ class SolverResult:
 _REFRESH_STEPS = 50
 
 
-# The 1-D dot products on the per-step path (here, in _center_step and in
-# _drive) are written a.dot(b): the same BLAS ddot as a @ b, so the same bits,
-# with less dispatch around it (0.8 against 1.3 us at n = 64).
 def _value_from_gradient(problem: QuadraticProblem, x, g) -> float:
     # f(x) = 1/2 x^T g - 1/2 b^T x + c from a gradient g = A x - b in hand.
-    return 0.5 * float(x.dot(g) - problem.b.dot(x)) + problem.c
+    return 0.5 * float(_dot(x, g) - _dot(problem.b, x)) + problem.c
 
 
 def _level_length(gg: float, m11: float) -> float:
@@ -221,19 +223,19 @@ def _center_step(problem: QuadraticProblem, x, g, gg: float):
     # me_iterate's step from x, g and gg = g.g: (x_next, g_next, g_y, fields),
     # with fields the StepRecord's (branch, t, delta, alpha, beta).
     ag_x = problem.A.matvec(g)
-    m11 = float(g.dot(ag_x))
+    m11 = float(_dot(g, ag_x))
     t = _level_length(gg, m11)
     g_y = np.multiply(ag_x, -t)  # g - t A g
     g_y += g
     ag_y = problem.A.matvec(g_y)
-    m12 = float(g.dot(ag_y))
-    m22 = float(g_y.dot(ag_y))
+    m12 = float(_dot(g, ag_y))
+    m22 = float(_dot(g_y, ag_y))
     delta = _gram_delta(m11, m12, m22)
     if delta is None:
         x_next = x - (0.5 * t) * g
         g_next = g - (0.5 * t) * ag_x
         return x_next, g_next, g_y, (Branch.MIDPOINT, t, None, None, None)
-    alpha, beta = _coeffs_from_gram(gg, float(g.dot(g_y)), m11, m12, m22, delta)
+    alpha, beta = _coeffs_from_gram(gg, float(_dot(g, g_y)), m11, m12, m22, delta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise RuntimeError(
             f"non-finite center coefficients (t={t}, delta={delta}, "
@@ -271,7 +273,7 @@ def me_iterate(
         g_x = problem.gradient(x)
     else:
         g_x = _as_vector(g_x, problem.dim, name="g_x")
-    gg = float(g_x.dot(g_x))
+    gg = float(_dot(g_x, g_x))
     grad_norm = math.sqrt(gg)
     if not math.isfinite(grad_norm):
         raise RuntimeError(f"gradient norm is {grad_norm}; aborting")
@@ -314,7 +316,7 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     """
     x = _as_vector(x1, problem.dim, name="x1")
     g = problem.gradient(x)
-    gg = float(g.dot(g))
+    gg = float(_dot(g, g))
     grad_norm = math.sqrt(gg)
     threshold = options.gradient_threshold(grad_norm)
     cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
@@ -342,7 +344,7 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
                 if since_refresh == _REFRESH_STEPS:
                     g = problem.gradient(x)
                     since_refresh = 0
-        gg = float(g.dot(g))
+        gg = float(_dot(g, g))
         grad_norm = math.sqrt(gg)
     return SolverResult(
         x_final=x,

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ellipcenter.quadratic import (
+    _BLAS_DOT_MAX,
     DenseOperator,
     DiagonalOperator,
     QuadraticProblem,
     RankOneOperator,
+    _dot,
 )
 
 
@@ -210,3 +212,35 @@ def test_immutability():
     p = QuadraticProblem(op, [1.0, 1.0])
     with pytest.raises(ValueError):
         p.b[0] = 2.0
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestDot:
+    @pytest.mark.parametrize("n", [1, 64, _BLAS_DOT_MAX])
+    def test_blas_length_keeps_ddot_bits(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert bits(_dot(a, b)) == bits(a.dot(b))
+
+    def test_longer_dot_is_plain_einsum(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, _BLAS_DOT_MAX + 1))
+        assert bits(_dot(a, b)) == bits(np.einsum("i,i->", a, b))
+
+    def test_bits_do_not_depend_on_offset(self):
+        # The same data at every 8-byte offset modulo a 64-byte cache line,
+        # for each operand independently.
+        n = 2 * _BLAS_DOT_MAX + 11
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, n))
+        buf_a, buf_b = np.empty(n + 8), np.empty(n + 8)
+        seen = set()
+        for i in range(8):
+            for j in range(8):
+                u, v = buf_a[i:i + n], buf_b[j:j + n]
+                u[:], v[:] = a, b
+                seen.add(bits(_dot(u, v)))
+        assert seen == {bits(_dot(a, b))}

@@ -1,5 +1,9 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -16,8 +20,10 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
+import ellipcenter
 import ellipcenter.solver as solver_module
 from ellipcenter.baselines import cg_solve
+from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.solver import (
     _REFRESH_STEPS,
@@ -442,6 +448,43 @@ class TestCarriedGradient:
         with pytest.raises(RuntimeError, match=r"^me: gradient norm is (nan|inf); aborting$"):
             me_solve(p, np.zeros(40), SolveOptions(max_iterations=max_iterations))
         assert calls >= 3
+
+
+# Runs in a fresh process: each cell's iterations, the bits of f_final and a
+# digest of x_final's bytes.  Every dot of these solves is longer than 10,000
+# elements, where numpy's bundled OpenBLAS splits a ddot between threads.
+THREAD_PROBE = r"""
+import hashlib, json
+import numpy as np
+from ellipcenter.bench import METHODS
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
+from ellipcenter.solver import SolveOptions
+
+grid = [(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 20_000, list(METHODS), 300),
+        (InstanceFamily.DENSE_RANK_ONE, 200_000, ["me", "cg", "bb-long", "bb-short"], None)]
+out = {}
+for family, n, methods, cap in grid:
+    problem = generate(InstanceSpec(family, n, 1))
+    options = SolveOptions() if cap is None else SolveOptions(max_iterations=cap)
+    for method in methods:
+        r = METHODS[method](problem, np.zeros(n), options)
+        out[f"{family.value} {method}"] = [
+            r.iterations, r.f_final.hex(), hashlib.sha256(r.x_final.tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+
+def test_results_do_not_depend_on_thread_count():
+    src = os.path.dirname(os.path.dirname(ellipcenter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == len(METHODS) + 4
+    assert runs[0] == runs[1]
 
 
 class TestSolveOptionsValidation:
