@@ -8,12 +8,14 @@ checkout this script lives in is the change.  Each tree runs the whole grid
 in one fresh Python process that imports the package from its ``src/`` (see
 ``pairing.py``).
 
-The grid is six methods (me, grad, cg, bb-long, bb-short, fast) from x1 = 0
-with the default options on nine instances: the diag family at n = 64,
-seeds 1-3, at n = 500, seed 1, and at n = 10^4, seed 1, capped at 5,000
-steps; the rank-one ``dense`` family at n = 40, 100 and 400, seed 7, and at
-n = 1,000, seed 1.  Every cell runs once without an observer and once with
-one, 108 cells in all.  A cell's result is its iterations, ``terminated_by``,
+The grid is seven methods (me, grad, cg, bb-long, bb-short, fast,
+grad-wolfe) from x1 = 0 with the default options on nine instances: the diag
+family at n = 64, seeds 1-3, at n = 500, seed 1, and at n = 10^4, seed 1,
+capped at 5,000 steps; the rank-one ``dense`` family at n = 40, 100 and 400,
+seed 7, and at n = 1,000, seed 1.  grad-wolfe, the one solver that runs the
+Wolfe search on every step, is capped at 2,000 steps on every instance.
+Every cell runs once without an observer and once with one, 126 cells in
+all.  A cell's result is its iterations, ``terminated_by``,
 the bits of ``f_final`` and ``grad_norm_final``, a hash of the bytes of
 ``x_final``, the matvecs it made and, when observed, a hash of every
 ``StepRecord`` field in order.  A cell that raises records the exception's
@@ -57,7 +59,9 @@ INSTANCES = [
     ("dense", 400, 7, None),
     ("dense", 1_000, 1, None),
 ]
-METHODS = ["me", "grad", "cg", "bb-long", "bb-short", "fast"]
+# method -> its own step cap, or None
+METHODS = {"me": None, "grad": None, "cg": None, "bb-long": None, "bb-short": None,
+           "fast": None, "grad-wolfe": 2_000}
 
 # Runs in the fresh process: every cell of the grid, as a dict keyed by cell.
 GRID_PROBE = r"""
@@ -65,6 +69,7 @@ import hashlib, json, sys
 import numpy as np
 from ellipcenter.baselines import (
     BBVariant, bb_solve, cg_solve, fast_gradient_solve, gradient_optimal_step_solve,
+    gradient_wolfe_solve,
 )
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import QuadraticProblem
@@ -77,6 +82,7 @@ SOLVERS = {
     "bb-long": lambda p, x, o: bb_solve(p, x, BBVariant(short_steps=False), o),
     "bb-short": lambda p, x, o: bb_solve(p, x, BBVariant(short_steps=True), o),
     "fast": fast_gradient_solve,
+    "grad-wolfe": gradient_wolfe_solve,
 }
 
 
@@ -129,10 +135,11 @@ def run(problem, method, cap, traced):
 cells = {}
 for family, n, seed, cap in json.loads(sys.argv[1]):
     problem = generate(InstanceSpec(InstanceFamily(family), n, seed))
-    for method in json.loads(sys.argv[2]):
+    for method, method_cap in json.loads(sys.argv[2]).items():
+        caps = [c for c in (cap, method_cap) if c is not None]
         for traced in (False, True):
             key = f"{method} {family} n={n} seed={seed} {'traced' if traced else 'untraced'}"
-            cells[key] = run(problem, method, cap, traced)
+            cells[key] = run(problem, method, min(caps, default=None), traced)
 print(json.dumps(cells))
 """
 

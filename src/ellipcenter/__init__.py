@@ -22,7 +22,6 @@ from .solver import (
 )
 from .baselines import (
     BBVariant,
-    WolfeParams,
     bb_solve,
     cg_solve,
     fast_gradient_solve,
@@ -34,8 +33,6 @@ from .generators import (
     InstanceFamily,
     InstanceSpec,
     ProblemFormatError,
-    gen_dense_rank_one,
-    gen_diagonal,
     generate,
     instance_metadata,
     load_problem,

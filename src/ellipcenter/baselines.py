@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .quadratic import QuadraticProblem, _dot
 from .solver import SolveOptions, SolverResult, _drive, _level_length
 
 __all__ = [
-    "WolfeParams",
     "BBVariant",
     "wolfe_search",
     "bb_step_length",
@@ -41,25 +40,6 @@ _CG_EXTRA_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
-class WolfeParams:
-    """Wolfe line-search parameters: extrapolation factor a > 1 and
-    sufficient-decrease / curvature constants 0 < m1 < m2 < 1."""
-
-    a: float = 2.0
-    m1: float = 1e-4
-    m2: float = 0.9
-    max_trials: int = 100
-
-    def __post_init__(self):
-        if not self.a > 1.0:
-            raise ValueError("extrapolation factor a must exceed 1")
-        if not 0.0 < self.m1 < self.m2 < 1.0:
-            raise ValueError("need 0 < m1 < m2 < 1")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be at least 1")
-
-
-@dataclass(frozen=True)
 class BBVariant:
     """Barzilai-Borwein step choice: short steps (s^T y / y^T y) when True,
     long steps (s^T s / s^T y) otherwise."""
@@ -67,33 +47,43 @@ class BBVariant:
     short_steps: bool
 
 
-def wolfe_search(line, slope0: float, params: WolfeParams = WolfeParams()) -> float:
+# wolfe_search's constants: the extrapolation factor a > 1, the
+# sufficient-decrease and curvature constants 0 < m1 < m2 < 1, and the
+# number of trials before it gives up.
+_WOLFE_A = 2.0
+_WOLFE_M1 = 1e-4
+_WOLFE_M2 = 0.9
+_WOLFE_MAX_TRIALS = 100
+
+
+def wolfe_search(line, slope0: float) -> float:
     """Step length along a descent line satisfying both Wolfe conditions.
 
     ``line(t)`` returns ``(phi(t) - phi(0), phi'(t))`` for phi(t) = f(x + t d),
     and ``slope0`` is phi'(0).  A bracket [t_L, t_R] is maintained: while no
-    upper bound exists the trial step is extrapolated by the factor ``a``,
-    afterwards it bisects.  Accepts t once phi(t) - phi(0) <= m1 t slope0
-    and phi'(t) >= m2 slope0.  If ``max_trials`` is exhausted, the best
-    sufficient-decrease step found so far is returned with a warning.
+    upper bound exists the trial step is extrapolated by the factor
+    ``_WOLFE_A``, afterwards it bisects.  Accepts t once phi(t) - phi(0) <=
+    m1 t slope0 and phi'(t) >= m2 slope0, with m1 = ``_WOLFE_M1`` and m2 =
+    ``_WOLFE_M2``.  If ``_WOLFE_MAX_TRIALS`` trials pass without that, the
+    best sufficient-decrease step found so far is returned with a warning.
     """
     if slope0 >= 0.0:
         raise ValueError(f"not a descent direction (slope0 = {slope0:g})")
     t, t_left, t_right = 1.0, 0.0, math.inf
     best = None
-    for _ in range(params.max_trials):
+    for _ in range(_WOLFE_MAX_TRIALS):
         decrease, slope_t = line(t)
-        if decrease <= params.m1 * t * slope0:
-            if slope_t >= params.m2 * slope0:
+        if decrease <= _WOLFE_M1 * t * slope0:
+            if slope_t >= _WOLFE_M2 * slope0:
                 return t
             t_left = t
             best = t
         else:
             t_right = t
-        t = params.a * t if math.isinf(t_right) else 0.5 * (t_left + t_right)
+        t = _WOLFE_A * t if math.isinf(t_right) else 0.5 * (t_left + t_right)
     warnings.warn(
         f"Wolfe search did not satisfy the curvature condition within "
-        f"{params.max_trials} trials; returning the best sufficient-decrease step",
+        f"{_WOLFE_MAX_TRIALS} trials; returning the best sufficient-decrease step",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -179,8 +169,9 @@ def cg_solve(
         t = -_dot(d, g) / dad
         return x + t * d, g + t * ad, ()
 
-    cap = problem.dim + _CG_EXTRA_ITERATIONS
-    return _drive(problem, x1, options, step, "cg", carried=True, cap=cap)
+    cap = min(options.max_iterations, problem.dim + _CG_EXTRA_ITERATIONS)
+    options = replace(options, max_iterations=cap)
+    return _drive(problem, x1, options, step, "cg", carried=True)
 
 
 def bb_solve(

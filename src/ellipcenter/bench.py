@@ -76,9 +76,9 @@ class BenchConfig:
 
     instances: tuple
     methods: tuple = DEFAULT_METHODS
-    epsilon: float = 1e-8
-    epsilon_mode: EpsilonMode = EpsilonMode.RELATIVE_TO_INITIAL
-    max_iterations: int = 1_000_000
+    epsilon: float = SolveOptions.epsilon
+    epsilon_mode: EpsilonMode = SolveOptions.epsilon_mode
+    max_iterations: int = SolveOptions.max_iterations
     fast_cap: int | None = None
     repetitions: int = 1
     trace_dir: str | None = None

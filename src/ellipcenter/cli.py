@@ -17,6 +17,7 @@ import sys
 
 from .bench import (
     DEFAULT_METHODS,
+    FAST_GRADIENT_DENSE_CAP,
     METHODS,
     BenchConfig,
     all_converged,
@@ -52,8 +53,8 @@ def _parse_args(argv):
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     parser.add_argument(
-        "--b-scale", type=float, default=1000.0,
-        help="b entries are uniform on [0, B_SCALE] (default 1000)",
+        "--b-scale", type=float, default=InstanceSpec.b_scale,
+        help="b entries are uniform on [0, B_SCALE] (default %(default)g)",
     )
     parser.add_argument(
         "--methods",
@@ -61,21 +62,25 @@ def _parse_args(argv):
         help=f"comma-separated subset of {','.join(METHODS)} "
         "(default: all but grad-wolfe)",
     )
-    parser.add_argument("--eps", type=float, default=1e-8, help="gradient tolerance")
     parser.add_argument(
-        "--eps-mode", choices=[m.value for m in EpsilonMode], default="rel",
+        "--eps", type=float, default=BenchConfig.epsilon, help="gradient tolerance"
+    )
+    parser.add_argument(
+        "--eps-mode", choices=[m.value for m in EpsilonMode],
+        default=BenchConfig.epsilon_mode.value,
         help="absolute threshold, or relative to the initial gradient norm",
     )
     parser.add_argument(
-        "--max-iters", type=int, default=1_000_000, help="iteration cap per solve"
+        "--max-iters", type=int, default=BenchConfig.max_iterations,
+        help="iteration cap per solve",
     )
     parser.add_argument(
         "--fast-cap", type=int, default=None,
         help="iteration cap for the fast-gradient method "
-        "(default: 1000 on dense instances, otherwise --max-iters)",
+        f"(default: {FAST_GRADIENT_DENSE_CAP} on dense instances, otherwise --max-iters)",
     )
     parser.add_argument(
-        "--reps", type=int, default=1,
+        "--reps", type=int, default=BenchConfig.repetitions,
         help="timing repetitions per cell; the minimum time is reported",
     )
     parser.add_argument("--out", default=None, help="report file (default: stdout)")

@@ -55,8 +55,6 @@ from .quadratic import DenseOperator, DiagonalOperator, QuadraticProblem, RankOn
 __all__ = [
     "InstanceFamily",
     "InstanceSpec",
-    "gen_diagonal",
-    "gen_dense_rank_one",
     "generate",
     "instance_metadata",
     "write_instance_metadata",
@@ -79,13 +77,6 @@ def _draws(seed: int, start: int, count: int) -> np.ndarray:
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _uniform_ints(u: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Integers on [lo, hi] from draws u, as floats."""
-    if hi < lo:
-        raise ValueError(f"empty integer range [{lo}, {hi}]")
-    return lo + np.floor(u * (hi - lo + 1))
 
 
 class InstanceFamily(Enum):
@@ -120,31 +111,19 @@ class InstanceSpec:
             raise ValueError("b_scale must be positive")
 
 
-def gen_diagonal(spec: InstanceSpec) -> QuadraticProblem:
-    """Diagonal instance: fixed extreme entries, integer interior, random b."""
-    if spec.family is not InstanceFamily.DIAGONAL_ILL_CONDITIONED:
-        raise ValueError(f"spec family is {spec.family}, expected DIAGONAL_ILL_CONDITIONED")
-    diag = np.empty(spec.n)
-    diag[0] = _DIAG_FIRST
-    diag[-1] = _DIAG_LAST
-    diag[1:-1] = _uniform_ints(_draws(spec.seed, 0, spec.n - 2), _DIAG_LO, _DIAG_HI)
-    b = spec.b_scale * _draws(spec.seed, spec.n - 2, spec.n)
-    return QuadraticProblem(DiagonalOperator(diag), b)
-
-
-def gen_dense_rank_one(spec: InstanceSpec) -> QuadraticProblem:
-    """Rank-one-plus-scaled-identity instance with uniform v and random b."""
-    if spec.family is not InstanceFamily.DENSE_RANK_ONE:
-        raise ValueError(f"spec family is {spec.family}, expected DENSE_RANK_ONE")
-    v = _draws(spec.seed, 0, spec.n)
-    b = spec.b_scale * _draws(spec.seed, spec.n, spec.n)
-    return QuadraticProblem(RankOneOperator(v, _SIGMA), b)
-
-
 def generate(spec: InstanceSpec) -> QuadraticProblem:
+    """The instance ``spec`` names, drawn as the module docstring defines it."""
+    n, seed = spec.n, spec.seed
     if spec.family is InstanceFamily.DIAGONAL_ILL_CONDITIONED:
-        return gen_diagonal(spec)
-    return gen_dense_rank_one(spec)
+        diag = np.empty(n)
+        diag[0] = _DIAG_FIRST
+        diag[-1] = _DIAG_LAST
+        diag[1:-1] = _DIAG_LO + np.floor(_draws(seed, 0, n - 2) * (_DIAG_HI - _DIAG_LO + 1))
+        b = spec.b_scale * _draws(seed, n - 2, n)
+        return QuadraticProblem(DiagonalOperator(diag), b)
+    v = _draws(seed, 0, n)
+    b = spec.b_scale * _draws(seed, n, n)
+    return QuadraticProblem(RankOneOperator(v, _SIGMA), b)
 
 
 def instance_metadata(spec: InstanceSpec | None, problem: QuadraticProblem) -> dict:

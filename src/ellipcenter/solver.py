@@ -295,7 +295,7 @@ def me_iterate(
     )
 
 
-def _drive(problem, x1, options, step, method, carried=False, cap=None):
+def _drive(problem, x1, options, step, method, carried=False):
     """Run ``step`` from ``x1`` under the stopping rule shared by all solvers.
 
     Every solver's step has one contract: ``step(x, g, gg)`` makes one
@@ -307,11 +307,11 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     the gradient in hand, and handed to it before x moves.  The gradient
     threshold is fixed from the initial iterate, a gradient norm that is not
     finite raises, the convergence check runs before each update, and
-    ``iterations`` counts updates actually performed, at most ``cap`` (and
-    ``max_iterations``).  With ``carried`` the step's ``g_next`` is a
-    recurrence: the true gradient replaces it every ``_REFRESH_STEPS``
-    steps, and the solve stops only on a true gradient, so
-    ``terminated_by``, ``f_final`` and ``grad_norm_final`` describe the
+    ``iterations`` counts updates actually performed, at most
+    ``options.max_iterations``, the one cap.  With ``carried`` the step's
+    ``g_next`` is a recurrence: the true gradient replaces it every
+    ``_REFRESH_STEPS`` steps, and the solve stops only on a true gradient,
+    so ``terminated_by``, ``f_final`` and ``grad_norm_final`` describe the
     returned iterate.
     """
     x = _as_vector(x1, problem.dim, name="x1")
@@ -319,7 +319,7 @@ def _drive(problem, x1, options, step, method, carried=False, cap=None):
     gg = float(_dot(g, g))
     grad_norm = math.sqrt(gg)
     threshold = options.gradient_threshold(grad_norm)
-    cap = options.max_iterations if cap is None else min(cap, options.max_iterations)
+    cap = options.max_iterations
     observer = options.observer
     iterations = 0
     since_refresh = 0  # steps since g was last the true gradient

@@ -87,7 +87,12 @@ def reference_save_problem(problem, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def reference_wolfe_search(oracle, x, d, params):
+# The reference search's constants, written out apart from the library's:
+# extrapolation factor, sufficient-decrease and curvature constants, trials.
+WOLFE_A, WOLFE_M1, WOLFE_M2, WOLFE_MAX_TRIALS = 2.0, 1e-4, 0.9, 100
+
+
+def reference_wolfe_search(oracle, x, d):
     """The Wolfe search as it was before the line model, with a gradient at
     every trial point: the oracle that the library's one-matvec search is
     checked against.  ``oracle(x)`` returns ``(value, gradient)``."""
@@ -99,20 +104,20 @@ def reference_wolfe_search(oracle, x, d, params):
         raise ValueError(f"d is not a descent direction (directional slope {slope0:g})")
     t, t_left, t_right = 1.0, 0.0, math.inf
     best = None
-    for _ in range(params.max_trials):
+    for _ in range(WOLFE_MAX_TRIALS):
         ft, gt = oracle(x + t * d)
         slope_t = float(d @ gt)
-        if ft <= f0 + params.m1 * t * slope0:
-            if slope_t >= params.m2 * slope0:
+        if ft <= f0 + WOLFE_M1 * t * slope0:
+            if slope_t >= WOLFE_M2 * slope0:
                 return t
             t_left = t
             best = t
         else:
             t_right = t
-        t = params.a * t if math.isinf(t_right) else 0.5 * (t_left + t_right)
+        t = WOLFE_A * t if math.isinf(t_right) else 0.5 * (t_left + t_right)
     warnings.warn(
         f"Wolfe search did not satisfy the curvature condition within "
-        f"{params.max_trials} trials; returning the best sufficient-decrease step",
+        f"{WOLFE_MAX_TRIALS} trials; returning the best sufficient-decrease step",
         RuntimeWarning,
         stacklevel=2,
     )

@@ -8,7 +8,6 @@ from conftest import CountingOperator, IndefiniteOperator, Steps
 import ellipcenter.baselines as baselines
 from ellipcenter.baselines import (
     BBVariant,
-    WolfeParams,
     bb_solve,
     bb_step_length,
     cg_solve,
@@ -157,12 +156,11 @@ class TestWolfeSearch:
 
     def test_unit_step_accepted_immediately(self):
         line, slope0 = self._half_square_line(1.0, -1.0)
-        t = wolfe_search(line, slope0, WolfeParams(m1=1e-4, m2=0.9))
+        t = wolfe_search(line, slope0)
         assert t == 1.0
 
     def test_conditions_hold_on_random_quadratics(self):
         rng = np.random.default_rng(46)
-        params = WolfeParams()
         for _ in range(50):
             n = int(rng.integers(1, 15))
             p = random_spd_problem(rng, n)
@@ -179,24 +177,25 @@ class TestWolfeSearch:
                 ft, gt = oracle(x + t * d)
                 return ft - f0, d @ gt
 
-            t = wolfe_search(line, slope0, params)
+            t = wolfe_search(line, slope0)
             ft, gt = oracle(x + t * d)
-            assert ft <= f0 + params.m1 * t * slope0 + 1e-12 * max(1.0, abs(f0))
-            assert d @ gt >= params.m2 * slope0
+            assert ft <= f0 + baselines._WOLFE_M1 * t * slope0 + 1e-12 * max(1.0, abs(f0))
+            assert d @ gt >= baselines._WOLFE_M2 * slope0
 
     def test_non_descent_direction_rejected(self):
         line, slope0 = self._half_square_line(1.0, 1.0)
         with pytest.raises(ValueError, match="descent"):
             wolfe_search(line, slope0)
 
-    def test_max_trials_warns_and_returns_decrease_step(self):
+    def test_max_trials_warns_and_returns_decrease_step(self, monkeypatch):
         # With m2 = 0.1 the curvature condition needs t >= 9 here, which the
         # doubling reaches only at the fourth trial; three trials exhaust the
         # budget after accepting sufficient decrease at t = 1, 2, 4.
-        params = WolfeParams(m1=1e-4, m2=0.1, max_trials=3)
+        monkeypatch.setattr(baselines, "_WOLFE_M2", 0.1)
+        monkeypatch.setattr(baselines, "_WOLFE_MAX_TRIALS", 3)
         line, slope0 = self._half_square_line(10.0, -1.0)
         with pytest.warns(RuntimeWarning, match="Wolfe"):
-            t = wolfe_search(line, slope0, params)
+            t = wolfe_search(line, slope0)
         assert t == 4.0
 
     def test_one_matvec_a_search(self, monkeypatch):

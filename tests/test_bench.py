@@ -337,9 +337,9 @@ def test_every_solve_goes_through_module_names(monkeypatch):
 
 
 def _problem_v(n, seed):
-    from ellipcenter.generators import gen_dense_rank_one
+    from ellipcenter.generators import generate
 
-    return gen_dense_rank_one(dense_spec(n, seed)).A.v
+    return generate(dense_spec(n, seed)).A.v
 
 
 class TestEmitReport:

@@ -15,9 +15,6 @@ from ellipcenter.generators import (
     InstanceSpec,
     ProblemFormatError,
     _draws,
-    _uniform_ints,
-    gen_dense_rank_one,
-    gen_diagonal,
     generate,
     instance_metadata,
     load_problem,
@@ -67,15 +64,6 @@ class TestSplitMix64:
         assert np.all(values >= 0.0) and np.all(values < 1.0)
         assert abs(values.mean() - 0.5) < 0.05
 
-    def test_ints_cover_inclusive_range(self):
-        values = _uniform_ints(_draws(9, 0, 5000), 3, 5)
-        assert set(values.tolist()) == {3, 4, 5}
-        np.testing.assert_array_equal(values, SplitMix64(9).ints(3, 5, 5000))
-
-    def test_int_empty_range_rejected(self):
-        with pytest.raises(ValueError, match=r"^empty integer range \[5, 4\]$"):
-            _uniform_ints(_draws(0, 0, 1), 5, 4)
-
     @pytest.mark.parametrize("family", list(InstanceFamily))
     @pytest.mark.parametrize("n", [2, 3, 64, 1000])
     def test_instances_match_scalar_draws(self, family, n):
@@ -94,35 +82,35 @@ class TestDiagonalFamily:
         return InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, n, seed, **kw)
 
     def test_two_dimensional_extremes(self):
-        p = gen_diagonal(self.spec(2, seed=123))
+        p = generate(self.spec(2, seed=123))
         np.testing.assert_array_equal(p.A.diag, [1.0, 50000.0])
         assert p.A.eigen_bounds().condition_number == pytest.approx(50000.0)
 
     def test_condition_number_fixed_for_all_sizes(self):
         for n, seed in ((2, 0), (10, 5), (100, 9)):
-            p = gen_diagonal(self.spec(n, seed))
+            p = generate(self.spec(n, seed))
             bounds = p.A.eigen_bounds()
             assert bounds.lambda_min == 1.0
             assert bounds.lambda_max == 50000.0
 
     def test_interior_entries_are_integers_in_range(self):
-        p = gen_diagonal(self.spec(100, seed=42))
+        p = generate(self.spec(100, seed=42))
         interior = np.asarray(p.A.diag)[1:-1]
         assert np.all(interior == np.round(interior))
         assert interior.min() >= 10.0
         assert interior.max() <= 49900.0
 
     def test_b_range(self):
-        p = gen_diagonal(self.spec(200, seed=3, b_scale=50.0))
+        p = generate(self.spec(200, seed=3, b_scale=50.0))
         b = np.asarray(p.b)
         assert np.all(b >= 0.0) and np.all(b <= 50.0)
 
     def test_deterministic(self):
-        a = gen_diagonal(self.spec(64, seed=11))
-        b = gen_diagonal(self.spec(64, seed=11))
+        a = generate(self.spec(64, seed=11))
+        b = generate(self.spec(64, seed=11))
         np.testing.assert_array_equal(a.A.diag, b.A.diag)
         np.testing.assert_array_equal(a.b, b.b)
-        c = gen_diagonal(self.spec(64, seed=12))
+        c = generate(self.spec(64, seed=12))
         assert not np.array_equal(a.b, c.b)
 
     def test_needs_two_entries(self):
@@ -135,7 +123,7 @@ class TestDenseRankOneFamily:
         return InstanceSpec(InstanceFamily.DENSE_RANK_ONE, n, seed, **kw)
 
     def test_structure_and_bounds(self):
-        p = gen_dense_rank_one(self.spec(50, seed=7))
+        p = generate(self.spec(50, seed=7))
         assert isinstance(p.A, RankOneOperator)
         assert p.A.sigma == 10.0
         v = np.asarray(p.A.v)
@@ -152,15 +140,15 @@ class TestDenseRankOneFamily:
         assert op.eigen_bounds().condition_number == pytest.approx(1.4)
 
     def test_deterministic(self):
-        a = gen_dense_rank_one(self.spec(40, seed=5))
-        b = gen_dense_rank_one(self.spec(40, seed=5))
+        a = generate(self.spec(40, seed=5))
+        b = generate(self.spec(40, seed=5))
         np.testing.assert_array_equal(a.A.v, b.A.v)
         np.testing.assert_array_equal(a.b, b.b)
 
     def test_apply_matches_dense_materialization(self):
         rng = np.random.default_rng(13)
         for n in (2, 17, 50):
-            p = gen_dense_rank_one(self.spec(n, seed=n))
+            p = generate(self.spec(n, seed=n))
             dense = p.A.dense()
             for _ in range(5):
                 x = rng.standard_normal(n)
@@ -168,7 +156,7 @@ class TestDenseRankOneFamily:
 
     def test_measured_condition_in_metadata(self):
         spec = self.spec(400, seed=7)
-        p = gen_dense_rank_one(spec)
+        p = generate(spec)
         meta = instance_metadata(spec, p)
         v = np.asarray(p.A.v)
         assert meta["condition_number"] == pytest.approx((10.0 + v @ v) / 10.0)
@@ -183,7 +171,7 @@ def test_generate_dispatch():
 
 def test_metadata_jsonl_round_trip(tmp_path):
     spec = InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 8, 21)
-    meta = instance_metadata(spec, gen_diagonal(spec))
+    meta = instance_metadata(spec, generate(spec))
     path = tmp_path / "instances.jsonl"
     write_instance_metadata(path, [meta, meta])
     lines = path.read_text().strip().splitlines()

@@ -10,10 +10,25 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import Steps, reference_line_oracle, reference_wolfe_search, splitmix_instance
+from conftest import (
+    WOLFE_A,
+    WOLFE_M1,
+    WOLFE_M2,
+    WOLFE_MAX_TRIALS,
+    Steps,
+    reference_line_oracle,
+    reference_wolfe_search,
+    splitmix_instance,
+)
 
 import ellipcenter.baselines as baselines
-from ellipcenter.baselines import WolfeParams, _wolfe_step
+from ellipcenter.baselines import (
+    _WOLFE_A,
+    _WOLFE_M1,
+    _WOLFE_M2,
+    _WOLFE_MAX_TRIALS,
+    _wolfe_step,
+)
 from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
@@ -22,7 +37,7 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
 )
-from ellipcenter.solver import Branch, SolveOptions, me_iterate, me_solve
+from ellipcenter.solver import Branch, SolveOptions, Termination, me_iterate, me_solve
 from ellipcenter.theory import dominance_check, reference_minimum
 
 
@@ -124,6 +139,48 @@ def test_center_is_two_cg_steps(case):
     assert np.linalg.norm(rec.x_next - cg_two_steps(p, x)) <= 1e-10 * err
 
 
+# b keeps at least this share of its norm in each eigenspace below.  With
+# less, g_y comes close to parallel with g_x, the Gram test may take the
+# midpoint branch, and one step no longer reaches x*.
+MIN_EIGENSPACE_SHARE = 0.1
+
+
+@st.composite
+def two_eigenvalue_problems(draw):
+    """A problem whose operator has exactly two distinct eigenvalues: a
+    diagonal of lam and r lam, or v v^T + sigma I with ||v||^2 / sigma >= 1.
+    b = c u + s w for unit vectors u and w, one in each eigenspace, with c
+    and s = sqrt(1 - c^2) both at least MIN_EIGENSPACE_SHARE."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(("diag", "rank1"))) == "diag":
+        lam = draw(st.floats(1e-3, 1e3))
+        r = draw(st.floats(2.0, 1e6))
+        high = rng.permutation(n) < draw(st.integers(1, n - 1))
+        op = DiagonalOperator(np.where(high, r * lam, lam))
+        u = np.where(high, rng.standard_normal(n), 0.0)
+        w = np.where(high, 0.0, rng.standard_normal(n))
+    else:
+        sigma = draw(st.floats(1e-3, 1e3))
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        op = RankOneOperator(np.sqrt(draw(st.floats(1.0, 1e6)) * sigma) * u, sigma)
+        w = rng.standard_normal(n)
+        w -= (w @ u) * u
+    c = draw(st.floats(MIN_EIGENSPACE_SHARE, np.sqrt(1.0 - MIN_EIGENSPACE_SHARE**2)))
+    b = c * u / np.linalg.norm(u) + np.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+    return QuadraticProblem(op, b)
+
+
+@given(two_eigenvalue_problems())
+def test_two_eigenvalues_take_one_step(p):
+    # The abstract's one-step claim.  The center minimizes f over
+    # x + span{g, Ag}, and with two distinct eigenvalues that plane holds x*.
+    result = me_solve(p, np.zeros(p.dim))
+    assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+    assert result.iterations == 1
+
+
 @given(problems())
 def test_center_step_dominates_exact_line_search(case):
     # The center minimizes f over a plane that holds the exact-line-search
@@ -181,31 +238,33 @@ def test_line_model_search_matches_point_search(case):
     p, x = case
     g = p.gradient(x)
     assume(g.dot(g) > 0.0)
-    params = WolfeParams()
+    assert (WOLFE_A, WOLFE_M1, WOLFE_M2, WOLFE_MAX_TRIALS) == (
+        _WOLFE_A, _WOLFE_M1, _WOLFE_M2, _WOLFE_MAX_TRIALS
+    )
     with mock.patch.object(baselines, "wolfe_search", wraps=baselines.wolfe_search) as search:
         t = _wolfe_step(p, g)
     line, slope0 = search.call_args.args
     trials = []
-    baselines.wolfe_search(lambda u: trials.append(u) or line(u), slope0, params)
+    baselines.wolfe_search(lambda u: trials.append(u) or line(u), slope0)
     oracle = reference_line_oracle(p, x, g)
     for u in trials:
         decrease, slope = line(u)
         point_decrease, g_z = oracle(x - u * g)
-        decrease_margin = point_decrease - params.m1 * u * slope0
-        slope_margin = float(-g @ g_z) - params.m2 * slope0
+        decrease_margin = point_decrease - _WOLFE_M1 * u * slope0
+        slope_margin = float(-g @ g_z) - _WOLFE_M2 * slope0
         tie = gradient_rounding(p, g, x - u * g)
-        if (decrease <= params.m1 * u * slope0) != (decrease_margin <= 0.0):
+        if (decrease <= _WOLFE_M1 * u * slope0) != (decrease_margin <= 0.0):
             assert abs(decrease_margin) <= u * tie
             break
-        if decrease_margin <= 0.0 and (slope >= params.m2 * slope0) != (slope_margin >= 0.0):
+        if decrease_margin <= 0.0 and (slope >= _WOLFE_M2 * slope0) != (slope_margin >= 0.0):
             assert abs(slope_margin) <= tie
             break
     else:
-        assert t == reference_wolfe_search(oracle, x, -g, params)
+        assert t == reference_wolfe_search(oracle, x, -g)
     z = x - t * g
     slack = 1e-12 * (value_scale(p, x) + value_scale(p, z))
-    assert p.value(z) <= p.value(x) + params.m1 * t * slope0 + slack
-    assert -g.dot(p.gradient(z)) >= params.m2 * slope0 - gradient_rounding(p, g, z)
+    assert p.value(z) <= p.value(x) + _WOLFE_M1 * t * slope0 + slack
+    assert -g.dot(p.gradient(z)) >= _WOLFE_M2 * slope0 - gradient_rounding(p, g, z)
 
 
 def bits(value):
