@@ -21,11 +21,14 @@ the bits of ``f_final`` and ``grad_norm_final``, a hash of the bytes of
 ``StepRecord`` field in order.  A cell that raises records the exception's
 type and text instead.
 
-Each tree also runs the CLI once, in a fresh process::
+Each tree also runs the CLI on two grids, each in a fresh process::
 
     ellipcenter-bench --instance diag --n 64 --seed 1 \
         --methods me,fast,bb-long,bb-short,cg --trace-dir D --out R
+    ellipcenter-bench --instance dense --n 40,100,400 --seed 7 \
+        --trace-dir D --out R
 
+the second with the default methods, as the acceptance dense grid runs.
 Every trace CSV in D, and R's ``.instances.jsonl``, must be the same bytes in
 both trees, the report R the same apart from its ``cpu_s`` column, and the
 exit codes equal.
@@ -144,19 +147,24 @@ print(json.dumps(cells))
 """
 
 
-CLI_ARGS = ["--instance", "diag", "--n", "64", "--seed", "1",
-            "--methods", "me,fast,bb-long,bb-short,cg"]
+# Grid name -> the CLI arguments that run it.
+CLI_GRIDS = {
+    "diag": ["--instance", "diag", "--n", "64", "--seed", "1",
+             "--methods", "me,fast,bb-long,bb-short,cg"],
+    "dense": ["--instance", "dense", "--n", "40,100,400", "--seed", "7"],
+}
 CLI_MAIN = "import sys; from ellipcenter.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def cli_files(tree, work):
-    """Run the CLI grid on ``tree`` into ``work``: its exit code, and its
-    output files by name, the report without its cpu_s column."""
+def cli_files(tree, work, args):
+    """Run the CLI with ``args`` on ``tree`` into ``work``: its exit code, and
+    its output files by name, the report without its cpu_s column."""
+    os.makedirs(work)
     traces = os.path.join(work, "traces")
     report = os.path.join(work, "report.csv")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     code = subprocess.run(
-        [sys.executable, "-c", CLI_MAIN, *CLI_ARGS, "--trace-dir", traces, "--out", report],
+        [sys.executable, "-c", CLI_MAIN, *args, "--trace-dir", traces, "--out", report],
         env=env, stdout=subprocess.DEVNULL,
     ).returncode
     files = {}
@@ -181,20 +189,24 @@ def main(argv=None):
     parent = python_probe(parent_tree, GRID_PROBE, *grid)
     change = python_probe(ROOT, GRID_PROBE, *grid)
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    cli_count, cli_differ = 0, []
     with tempfile.TemporaryDirectory() as work:
-        os.mkdir(os.path.join(work, "parent"))
-        os.mkdir(os.path.join(work, "change"))
-        parent_code, parent_files = cli_files(parent_tree, os.path.join(work, "parent"))
-        change_code, change_files = cli_files(ROOT, os.path.join(work, "change"))
-    cli_differ = sorted(name for name in parent_files.keys() | change_files.keys()
-                        if parent_files.get(name) != change_files.get(name))
-    if parent_code != change_code:
-        cli_differ.append(f"exit code {parent_code} vs {change_code}")
+        for grid_name, cli_args in CLI_GRIDS.items():
+            (parent_code, parent_files), (change_code, change_files) = (
+                cli_files(tree, os.path.join(work, grid_name, side), cli_args)
+                for side, tree in (("parent", parent_tree), ("change", ROOT))
+            )
+            cli_count += len(change_files)
+            cli_differ += sorted(f"{grid_name}: {name}"
+                                 for name in parent_files.keys() | change_files.keys()
+                                 if parent_files.get(name) != change_files.get(name))
+            if parent_code != change_code:
+                cli_differ.append(f"{grid_name}: exit code {parent_code} vs {change_code}")
     print(json.dumps({
         "cells": len(change),
         "identical": len(change) - len(differ),
         "differ": differ,
-        "cli_files": len(change_files),
+        "cli_files": cli_count,
         "cli_differ": cli_differ,
     }))
     return 1 if differ or cli_differ else 0

@@ -13,7 +13,7 @@ import io
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,13 +25,7 @@ from .baselines import (
     gradient_optimal_step_solve,
     gradient_wolfe_solve,
 )
-from .generators import (
-    InstanceFamily,
-    InstanceSpec,
-    generate,
-    instance_metadata,
-    load_problem,
-)
+from .generators import InstanceSpec, generate, instance_metadata, load_problem
 from .solver import (
     EpsilonMode,
     SolveOptions,
@@ -66,9 +60,6 @@ METHODS = {
 # grad-wolfe is opt-in; it is far too slow to be worth reporting by default.
 DEFAULT_METHODS = tuple(m for m in METHODS if m != "grad-wolfe")
 
-# Dense-family runs cap the fast-gradient method here unless overridden.
-FAST_GRADIENT_DENSE_CAP = 1000
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -79,7 +70,6 @@ class BenchConfig:
     epsilon: float = SolveOptions.epsilon
     epsilon_mode: EpsilonMode = SolveOptions.epsilon_mode
     max_iterations: int = SolveOptions.max_iterations
-    fast_cap: int | None = None
     repetitions: int = 1
     trace_dir: str | None = None
 
@@ -98,8 +88,6 @@ class BenchConfig:
         # Settings every solve would reject stop the run before any instance
         # is built.
         SolveOptions(self.epsilon, self.epsilon_mode, self.max_iterations)
-        if self.fast_cap is not None and self.fast_cap < 1:
-            raise ValueError("fast_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -130,29 +118,20 @@ def _materialize(instance):
     return problem, instance_metadata(spec, problem)
 
 
-def _method_options(cfg: BenchConfig, method: str, family, observer) -> SolveOptions:
-    max_iter = cfg.max_iterations
-    if method == "fast":
-        if cfg.fast_cap is not None:
-            max_iter = min(max_iter, cfg.fast_cap)
-        elif family == InstanceFamily.DENSE_RANK_ONE.value:
-            max_iter = min(max_iter, FAST_GRADIENT_DENSE_CAP)
-    return SolveOptions(
-        epsilon=cfg.epsilon,
-        epsilon_mode=cfg.epsilon_mode,
-        max_iterations=max_iter,
-        observer=observer,
-    )
-
-
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Solve every (instance, method) cell and collect one row per cell.
 
     Instance construction happens outside the timed region; with
     ``repetitions`` > 1 each cell is re-solved and the minimum CPU time is
     reported.  A failing cell is recorded with terminated_by = "error" and
-    its exception text in ``error``, and the harness moves on.
+    its exception text in ``error``, and the harness moves on.  With
+    ``trace_dir``, the directory is made before the first instance is built,
+    and every cell writes its trace, a failing one the steps it reached.
     """
+    options = SolveOptions(cfg.epsilon, cfg.epsilon_mode, cfg.max_iterations)
+    traced = cfg.trace_dir is not None
+    if traced:
+        os.makedirs(cfg.trace_dir, exist_ok=True)
     rows = []
     instances = []
     for position, instance in enumerate(cfg.instances):
@@ -164,15 +143,14 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             # The packed records of a traced cell's last repetition, dropped
             # once written.
             trace = _PackedTrace()
-            observer = None if cfg.trace_dir is None else trace
-            options = _method_options(cfg, method, meta["family"], observer)
+            cell_options = replace(options, observer=trace) if traced else options
             error = None
             cpu_time = math.inf
             for _ in range(cfg.repetitions):
                 trace.clear()
                 start = time.process_time()
                 try:
-                    result = solve(problem, x1, options)
+                    result = solve(problem, x1, cell_options)
                 except Exception as exc:  # record the cell, keep the grid going
                     error = f"{type(exc).__name__}: {exc}"
                     break
@@ -182,12 +160,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             else:
                 iterations, f_final = result.iterations, result.f_final
                 term = result.terminated_by.value
-                if cfg.trace_dir is not None:
-                    os.makedirs(cfg.trace_dir, exist_ok=True)
-                    # The grid position keeps names apart when two instances
-                    # share a family and size, such as two problem files.
-                    name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
-                    write_trace_csv(os.path.join(cfg.trace_dir, name), trace)
+            if traced:
+                # The grid position keeps names apart when two instances
+                # share a family and size, such as two problem files.
+                name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
+                write_trace_csv(os.path.join(cfg.trace_dir, name), trace)
             rows.append(
                 BenchRow(
                     method=method,

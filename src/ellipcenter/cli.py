@@ -17,7 +17,6 @@ import sys
 
 from .bench import (
     DEFAULT_METHODS,
-    FAST_GRADIENT_DENSE_CAP,
     METHODS,
     BenchConfig,
     all_converged,
@@ -72,12 +71,7 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--max-iters", type=int, default=BenchConfig.max_iterations,
-        help="iteration cap per solve",
-    )
-    parser.add_argument(
-        "--fast-cap", type=int, default=None,
-        help="iteration cap for the fast-gradient method "
-        f"(default: {FAST_GRADIENT_DENSE_CAP} on dense instances, otherwise --max-iters)",
+        help="iteration cap for every solve",
     )
     parser.add_argument(
         "--reps", type=int, default=BenchConfig.repetitions,
@@ -132,7 +126,6 @@ def main(argv=None) -> int:
             epsilon=args.eps,
             epsilon_mode=EpsilonMode(args.eps_mode),
             max_iterations=args.max_iters,
-            fast_cap=args.fast_cap,
             repetitions=args.reps,
             trace_dir=args.trace_dir,
         )
@@ -143,6 +136,12 @@ def main(argv=None) -> int:
         report = run_benchmark(cfg)
     except ProblemFormatError as exc:
         raise SystemExit(f"problem file {exc.filename}: {exc}")
+    except OSError as exc:
+        # Every problem file was opened above, so the error is the trace
+        # directory's or one of its files'.
+        if cfg.trace_dir is None:
+            raise
+        raise SystemExit(f"trace directory {cfg.trace_dir}: {exc.strerror}")
     text = emit_report(report, format=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

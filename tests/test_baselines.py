@@ -506,3 +506,31 @@ def test_gradient_wolfe_reaches_tolerance(instance):
     p = _wolfe_stall_instance(instance)
     result = grad_wolfe_solve(p, np.zeros(p.dim), SolveOptions(max_iterations=1000))
     assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+
+
+def matvecs_to_tolerance(solve, problem):
+    # Matvecs a solve from x1 = 0 makes to reach the default 1e-8 relative
+    # tolerance: the paper's cost model.
+    op = CountingOperator(problem.A)
+    result = solve(QuadraticProblem(op, problem.b, problem.c), np.zeros(problem.dim))
+    assert result.terminated_by is Termination.GRADIENT_TOLERANCE
+    return op.calls
+
+
+def test_me_costs_no_more_matvecs_than_grad():
+    # me makes two matvecs a step to grad's one, and takes about a quarter
+    # of its steps: 202,779 matvecs against 405,835.
+    p = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 500, 1))
+    assert matvecs_to_tolerance(me_solve, p) <= matvecs_to_tolerance(
+        gradient_optimal_step_solve, p
+    )
+
+
+def test_me_matvecs_between_cg_and_grad_on_uniform_spectrum():
+    # A spectrum spread evenly over [1, 100]: cg 73, me 420, grad 826.
+    p = diag_problem(np.linspace(1.0, 100.0, 200), b=np.random.default_rng(0).uniform(0, 1, 200))
+    cg, me, grad = (
+        matvecs_to_tolerance(solve, p)
+        for solve in (cg_solve, me_solve, gradient_optimal_step_solve)
+    )
+    assert cg <= me <= grad

@@ -3,6 +3,7 @@ import io
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,6 @@ class TestConfigValidation:
             ({"epsilon": 0.0}, "epsilon must be positive"),
             ({"epsilon": -1.0}, "epsilon must be positive"),
             ({"max_iterations": 0}, "max_iterations must be at least 1"),
-            ({"fast_cap": 0}, "fast_cap must be at least 1"),
         ],
     )
     def test_bad_solve_settings(self, settings, message):
@@ -131,30 +131,20 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert report.rows[0].iterations > 0
 
-    def test_fast_cap_default_on_dense(self):
-        # An unreachable absolute tolerance forces the fast method into its
-        # dense-instance default cap of 1000 iterations.
+    def test_max_iterations_caps_fast_on_dense(self):
+        # An unreachable absolute tolerance runs fast into the one cap every
+        # method shares, on the dense family as on any other.
         cfg = BenchConfig(
             instances=(dense_spec(15, seed=7),),
             methods=("fast",),
             epsilon=1e-300,
             epsilon_mode=EpsilonMode.ABSOLUTE,
+            max_iterations=1500,
         )
         report = run_benchmark(cfg)
-        assert report.rows[0].iterations == 1000
+        assert report.rows[0].iterations == 1500
         assert report.rows[0].terminated_by == "max_iterations"
         assert not all_converged(report)
-
-    def test_fast_cap_override(self):
-        cfg = BenchConfig(
-            instances=(dense_spec(15, seed=7),),
-            methods=("fast",),
-            epsilon=1e-300,
-            epsilon_mode=EpsilonMode.ABSOLUTE,
-            fast_cap=37,
-        )
-        report = run_benchmark(cfg)
-        assert report.rows[0].iterations == 37
 
     def test_error_cell_recorded_and_grid_continues(self, tmp_path):
         # A file instance whose gradient overflows at x1 = 0 loads but breaks
@@ -196,6 +186,53 @@ class TestRunBenchmark:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["branch"] == ""
         assert rows[0]["t"] == rows[0]["delta"] == rows[0]["alpha"] == ""
+
+    def test_trace_dir_made_before_any_instance(self, tmp_path, monkeypatch):
+        def no_build(spec):
+            raise AssertionError("an instance was built before the trace directory")
+
+        monkeypatch.setattr(bench, "generate", no_build)
+        not_a_dir = tmp_path / "traces"
+        not_a_dir.write_text("")
+        cfg = BenchConfig(instances=(dense_spec(8),), methods=("me",),
+                          trace_dir=str(not_a_dir))
+        with pytest.raises(FileExistsError):
+            run_benchmark(cfg)
+        made = tmp_path / "a" / "b"
+        cfg = BenchConfig(instances=(dense_spec(8),), methods=("me",), trace_dir=str(made))
+        with pytest.raises(AssertionError, match="an instance was built"):
+            run_benchmark(cfg)
+        assert made.is_dir()
+
+    @pytest.mark.parametrize("steps", [0, 3, _BATCH_ROWS + 5])
+    def test_error_cell_keeps_its_trace(self, tmp_path, monkeypatch, steps):
+        # A solve that raises after `steps` observed steps leaves a trace of
+        # those rows, the header alone when it raised before its first step.
+        real_fast = bench.fast_gradient_solve
+
+        def failing_fast(problem, x1, options):
+            seen = []
+
+            def observer(x, g, record):
+                if len(seen) == steps:
+                    raise RuntimeError("injected")
+                seen.append(record)
+                options.observer(x, g, record)
+
+            return real_fast(problem, x1, replace(options, observer=observer))
+
+        monkeypatch.setattr(bench, "fast_gradient_solve", failing_fast)
+        cfg = BenchConfig(instances=(diag_spec(20),), methods=("fast", "cg"),
+                          max_iterations=1000, trace_dir=str(tmp_path))
+        report = run_benchmark(cfg)
+        assert report.rows[0].error == "RuntimeError: injected"
+        with open(tmp_path / "fast_diag_20_0.csv", newline="") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "iter,branch,f,grad_norm,t,delta,alpha,beta"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            str(i) for i in range(1, steps + 1)
+        ]
+        assert report.rows[1].terminated_by == "gradient_tolerance"
 
     def test_trace_holds_last_repetition_only(self, tmp_path):
         # The capped diag cells of me and fast run past one packed batch.

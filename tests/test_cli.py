@@ -141,7 +141,6 @@ def test_undecodable_problem_file_names_file(tmp_path):
         ("--eps", "0", "epsilon must be positive"),
         ("--eps", "-1", "epsilon must be positive"),
         ("--max-iters", "0", "max_iterations must be at least 1"),
-        ("--fast-cap", "0", "fast_cap must be at least 1"),
     ],
 )
 def test_bad_solve_settings_stop_before_any_instance(flag, value, message, monkeypatch):
@@ -163,6 +162,21 @@ def test_missing_problem_file_stops_before_any_solve(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["--instance", "diag", "--n", "8", "--instance", f"file:{missing}"])
     assert str(info.value) == f"problem file {missing}: No such file or directory"
+
+
+def test_bad_trace_dir_stops_before_any_solve(tmp_path, monkeypatch):
+    # The harness records a raising solve as an error cell, so the solves
+    # are counted rather than made to raise.
+    solved = []
+    for name in ("me_solve", "cg_solve"):
+        monkeypatch.setattr(bench, name, lambda *args, _name=name: solved.append(_name))
+    not_a_dir = tmp_path / "traces"
+    not_a_dir.write_text("")
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "64", "--methods", "me,cg",
+              "--trace-dir", str(not_a_dir)])
+    assert str(info.value) == f"trace directory {not_a_dir}: File exists"
+    assert solved == []
 
 
 def test_bad_n_rejected():

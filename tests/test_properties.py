@@ -298,3 +298,38 @@ def test_solves_are_deterministic(case, method):
             assert bits(a) == bits(b)
         else:
             assert a == b
+
+
+# The carried gradient stays within this many units of
+# eps (||A|| X + ||b||) of A x - b, X the reach below.  The true gradient
+# replaces it every 50 steps (_REFRESH_STEPS).  Each update in between rounds
+# its terms to within a few eps of their size, and A x - b itself rounds
+# within (n + 1) eps of the same scale, so 64 leaves room for 50 updates.
+# The worst of 2,000 drawn problems read 3.1 units.
+DRIFT_UNITS = 64
+
+
+@given(problems(), st.sampled_from(["me", "grad", "cg"]))
+def test_carried_gradient_drift_is_rounding(case, method):
+    # A bound relative to ||A x - b|| alone fails near the rounding floor:
+    # grad drifts 1.1e-6 of it on small rank-one problems.  One in ||A|| ||x||
+    # fails as x nears a small x*, since the drift is the rounding of terms
+    # formed at earlier, larger points.  So X is the reach of the path so far:
+    # the largest ||x|| + ||step||, and for a center step ||x|| plus the sizes
+    # of its terms alpha g and beta g_y, which can cancel to a far shorter step.
+    p, x1 = case
+    eps, norm_a, norm_b = np.finfo(float).eps, p.A.eigen_bounds().lambda_max, np.linalg.norm(p.b)
+    reach, prev = 0.0, x1
+
+    def observer(x, g, record):
+        nonlocal reach, prev
+        reach = max(reach, np.linalg.norm(prev) + np.linalg.norm(x - prev))
+        drift = np.linalg.norm(g - p.gradient(x))
+        assert drift <= DRIFT_UNITS * eps * (norm_a * reach + norm_b)
+        if record.branch is Branch.ELLIPSE_CENTER:
+            g_y = g - record.t * p.A.matvec(g)
+            terms = abs(record.alpha) * np.linalg.norm(g) + abs(record.beta) * np.linalg.norm(g_y)
+            reach = max(reach, np.linalg.norm(x) + terms)
+        prev = x
+
+    METHODS[method](p, x1, SolveOptions(max_iterations=200, observer=observer))
