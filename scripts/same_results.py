@@ -21,14 +21,18 @@ the bits of ``f_final`` and ``grad_norm_final``, a hash of the bytes of
 ``StepRecord`` field in order.  A cell that raises records the exception's
 type and text instead.
 
-Each tree also runs the CLI on two grids, each in a fresh process::
+Each tree also runs the CLI on three grids, each in a fresh process::
 
     ellipcenter-bench --instance diag --n 64 --seed 1 \
         --methods me,fast,bb-long,bb-short,cg --trace-dir D --out R
     ellipcenter-bench --instance dense --n 40,100,400 --seed 7 \
         --trace-dir D --out R
+    ellipcenter-bench --instance file:P --trace-dir D --out R
 
-the second with the default methods, as the acceptance dense grid runs.
+the last two with the default methods, the second as the acceptance dense
+grid runs.  P is the rank-one instance at n = 1,000, seed 1, with c = 2.5,
+written once by this checkout's ``save_problem``, so both trees' problem
+file reading is compared on the same bytes.
 Every trace CSV in D, and R's ``.instances.jsonl``, must be the same bytes in
 both trees, the report R the same apart from its ``cpu_s`` column, and the
 exit codes equal.
@@ -147,13 +151,22 @@ print(json.dumps(cells))
 """
 
 
-# Grid name -> the CLI arguments that run it.
+# Grid name -> the CLI arguments that run it; main adds the file grid.
 CLI_GRIDS = {
     "diag": ["--instance", "diag", "--n", "64", "--seed", "1",
              "--methods", "me,fast,bb-long,bb-short,cg"],
     "dense": ["--instance", "dense", "--n", "40,100,400", "--seed", "7"],
 }
 CLI_MAIN = "import sys; from ellipcenter.cli import main; sys.exit(main(sys.argv[1:]))"
+# Writes the problem file of the CLI's file grid to the path in argv[1].
+SAVE_PROBE = r"""
+import sys
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
+from ellipcenter.quadratic import QuadraticProblem
+p = generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1_000, 1))
+save_problem(QuadraticProblem(p.A, p.b, 2.5), sys.argv[1])
+print("null")  # python_probe reads one JSON value
+"""
 
 
 def cli_files(tree, work, args):
@@ -191,7 +204,10 @@ def main(argv=None):
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
     cli_count, cli_differ = 0, []
     with tempfile.TemporaryDirectory() as work:
-        for grid_name, cli_args in CLI_GRIDS.items():
+        problem_file = os.path.join(work, "rank1_1000.txt")
+        python_probe(ROOT, SAVE_PROBE, problem_file)
+        grids = {**CLI_GRIDS, "file": ["--instance", f"file:{problem_file}"]}
+        for grid_name, cli_args in grids.items():
             (parent_code, parent_files), (change_code, change_files) = (
                 cli_files(tree, os.path.join(work, grid_name, side), cli_args)
                 for side, tree in (("parent", parent_tree), ("change", ROOT))

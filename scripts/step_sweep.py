@@ -57,7 +57,8 @@ import hashlib, json, math, os, sys, tempfile, time
 import numpy as np
 from ellipcenter.baselines import fast_gradient_solve
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
-from ellipcenter.solver import SolveOptions, me_solve, write_trace_csv
+from ellipcenter import write_trace_csv
+from ellipcenter.solver import SolveOptions, me_solve
 
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 solvers = {"me": me_solve, "fast": fast_gradient_solve}

@@ -18,8 +18,8 @@ from .solver import (
     Termination,
     me_iterate,
     me_solve,
-    write_trace_csv,
 )
+from .trace import write_trace_csv
 from .baselines import (
     BBVariant,
     bb_solve,

@@ -26,14 +26,8 @@ from .baselines import (
     gradient_wolfe_solve,
 )
 from .generators import InstanceSpec, generate, instance_metadata, load_problem
-from .solver import (
-    EpsilonMode,
-    SolveOptions,
-    Termination,
-    _PackedTrace,
-    me_solve,
-    write_trace_csv,
-)
+from .solver import EpsilonMode, SolveOptions, Termination, me_solve
+from .trace import _PackedTrace, write_trace_csv
 
 __all__ = [
     "METHODS",
@@ -70,7 +64,6 @@ class BenchConfig:
     epsilon: float = SolveOptions.epsilon
     epsilon_mode: EpsilonMode = SolveOptions.epsilon_mode
     max_iterations: int = SolveOptions.max_iterations
-    repetitions: int = 1
     trace_dir: str | None = None
 
     def __post_init__(self):
@@ -83,8 +76,6 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; known: {list(METHODS)}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
         # Settings every solve would reject stop the run before any instance
         # is built.
         SolveOptions(self.epsilon, self.epsilon_mode, self.max_iterations)
@@ -121,12 +112,12 @@ def _materialize(instance):
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Solve every (instance, method) cell and collect one row per cell.
 
-    Instance construction happens outside the timed region; with
-    ``repetitions`` > 1 each cell is re-solved and the minimum CPU time is
-    reported.  A failing cell is recorded with terminated_by = "error" and
-    its exception text in ``error``, and the harness moves on.  With
-    ``trace_dir``, the directory is made before the first instance is built,
-    and every cell writes its trace, a failing one the steps it reached.
+    Each cell is solved once, and its CPU time is that of the solve call;
+    instance construction happens outside it.  A failing cell is recorded
+    with terminated_by = "error" and its exception text in ``error``, and
+    the harness moves on.  With ``trace_dir``, the directory is made before
+    the first instance is built, and every cell writes its trace, a failing
+    one the steps it reached.
     """
     options = SolveOptions(cfg.epsilon, cfg.epsilon_mode, cfg.max_iterations)
     traced = cfg.trace_dir is not None
@@ -139,25 +130,18 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         instances.append(meta)
         x1 = np.zeros(problem.dim)
         for method in cfg.methods:
-            solve = METHODS[method]
-            # The packed records of a traced cell's last repetition, dropped
-            # once written.
-            trace = _PackedTrace()
-            cell_options = replace(options, observer=trace) if traced else options
-            error = None
-            cpu_time = math.inf
-            for _ in range(cfg.repetitions):
-                trace.clear()
-                start = time.process_time()
-                try:
-                    result = solve(problem, x1, cell_options)
-                except Exception as exc:  # record the cell, keep the grid going
-                    error = f"{type(exc).__name__}: {exc}"
-                    break
-                cpu_time = min(cpu_time, time.process_time() - start)
-            if error is not None:
+            # A traced cell's packed records, dropped once written.
+            trace = _PackedTrace() if traced else None
+            cell_options = replace(options, observer=trace)
+            start = time.process_time()
+            try:
+                result = METHODS[method](problem, x1, cell_options)
+            except Exception as exc:  # record the cell, keep the grid going
+                error = f"{type(exc).__name__}: {exc}"
                 cpu_time, iterations, f_final, term = math.nan, 0, math.nan, "error"
             else:
+                cpu_time = time.process_time() - start
+                error = None
                 iterations, f_final = result.iterations, result.f_final
                 term = result.terminated_by.value
             if traced:

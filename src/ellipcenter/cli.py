@@ -73,10 +73,6 @@ def _parse_args(argv):
         "--max-iters", type=int, default=BenchConfig.max_iterations,
         help="iteration cap for every solve",
     )
-    parser.add_argument(
-        "--reps", type=int, default=BenchConfig.repetitions,
-        help="timing repetitions per cell; the minimum time is reported",
-    )
     parser.add_argument("--out", default=None, help="report file (default: stdout)")
     parser.add_argument(
         "--format", choices=["csv", "markdown"], default="csv", help="report format"
@@ -126,7 +122,6 @@ def main(argv=None) -> int:
             epsilon=args.eps,
             epsilon_mode=EpsilonMode(args.eps_mode),
             max_iterations=args.max_iters,
-            repetitions=args.reps,
             trace_dir=args.trace_dir,
         )
     except ValueError as exc:

@@ -107,8 +107,8 @@ class InstanceSpec:
             raise ValueError("diagonal family needs n >= 2 for the first and last entries")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not self.b_scale > 0.0:
-            raise ValueError("b_scale must be positive")
+        if not 0.0 < self.b_scale < np.inf:
+            raise ValueError("b_scale must be positive and finite")
 
 
 def generate(spec: InstanceSpec) -> QuadraticProblem:
@@ -207,7 +207,8 @@ class _Cursor:
         return tok
 
     def floats(self, count, section):
-        """The next count tokens as floats, each piece's share converted in bulk."""
+        """The next count tokens as floats, each piece's share converted in
+        bulk, in a read-only array that the operators and problem keep."""
         values = np.empty(count)
         done = 0
         while done < count:
@@ -231,6 +232,7 @@ class _Cursor:
             done += k
             self._pos += k
             self.last_line = self.lineno
+        values.setflags(write=False)
         return values
 
     def build(self, make, *args):

@@ -60,6 +60,12 @@ def _dot(a, b):
 
 
 def _readonly(arr):
+    # The array an operator or problem keeps.  An owned, read-only float64
+    # array is kept as it is, shared with its maker, who must not make it
+    # writable again (load_problem hands its parsed arrays over so); anything
+    # else is copied, so the caller's array stays the caller's.
+    if arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable:
+        return arr
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr

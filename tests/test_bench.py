@@ -22,7 +22,8 @@ from ellipcenter.bench import (
 )
 from ellipcenter.generators import InstanceFamily, InstanceSpec, save_problem
 from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
-from ellipcenter.solver import _BATCH_ROWS, EpsilonMode, SolveOptions
+from ellipcenter.solver import EpsilonMode, SolveOptions
+from ellipcenter.trace import _BATCH_ROWS
 
 
 def diag_spec(n, seed=1, **kw):
@@ -60,16 +61,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown"):
             BenchConfig(instances=(dense_spec(4),), methods=("me", "newton"))
 
-    def test_bad_repetitions(self):
-        with pytest.raises(ValueError, match="repetitions"):
-            BenchConfig(instances=(dense_spec(4),), repetitions=0)
-
     @pytest.mark.parametrize(
         "settings, message",
         [
             ({"epsilon": 0.0}, "epsilon must be positive"),
             ({"epsilon": -1.0}, "epsilon must be positive"),
             ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"epsilon": math.inf}, "epsilon must be finite"),
         ],
     )
     def test_bad_solve_settings(self, settings, message):
@@ -123,13 +121,6 @@ class TestRunBenchmark:
             assert a.iterations == b.iterations
             assert a.optimal_value == b.optimal_value
             assert a.terminated_by == b.terminated_by
-
-    def test_repetitions_keep_min_time(self):
-        cfg = BenchConfig(
-            instances=(dense_spec(20, seed=6),), methods=("cg",), repetitions=3
-        )
-        report = run_benchmark(cfg)
-        assert report.rows[0].iterations > 0
 
     def test_max_iterations_caps_fast_on_dense(self):
         # An unreachable absolute tolerance runs fast into the one cap every
@@ -234,24 +225,18 @@ class TestRunBenchmark:
         ]
         assert report.rows[1].terminated_by == "gradient_tolerance"
 
-    def test_trace_holds_last_repetition_only(self, tmp_path):
-        # The capped diag cells of me and fast run past one packed batch.
-        for reps in (1, 3):
-            cfg = BenchConfig(
-                instances=(dense_spec(12, seed=3), diag_spec(20)),
-                methods=("me", "cg", "fast"),
-                max_iterations=600,
-                repetitions=reps,
-                trace_dir=str(tmp_path / f"reps{reps}"),
-            )
-            run_benchmark(cfg)
-        names = [f"{m}_{cell}.csv" for m in ("me", "cg", "fast")
-                 for cell in ("dense_12_0", "diag_20_1")]
-        for name in names:
-            once = (tmp_path / "reps1" / name).read_bytes()
-            assert (tmp_path / "reps3" / name).read_bytes() == once
-        for name in ("me_diag_20_1.csv", "fast_diag_20_1.csv"):
-            assert (tmp_path / "reps1" / name).read_bytes().count(b"\n") == 601 > _BATCH_ROWS
+    def test_trace_longer_than_a_batch_is_complete(self, tmp_path):
+        # The capped diag cells of me and fast run past two packed batches;
+        # each trace holds the header and every step, numbered in order.
+        cfg = BenchConfig(instances=(diag_spec(20),), methods=("me", "fast"),
+                          max_iterations=600, trace_dir=str(tmp_path))
+        assert [row.iterations for row in run_benchmark(cfg).rows] == [600, 600]
+        for name in ("me_diag_20_0.csv", "fast_diag_20_0.csv"):
+            lines = (tmp_path / name).read_bytes().splitlines()
+            assert len(lines) == 601 > 2 * _BATCH_ROWS
+            assert [line.split(b",")[0] for line in lines[1:]] == [
+                str(i).encode() for i in range(1, 601)
+            ]
 
     def test_traced_cell_holds_packed_steps(self, tmp_path):
         # A traced cell keeps its steps until it writes them.  Packed, a

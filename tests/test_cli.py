@@ -140,6 +140,7 @@ def test_undecodable_problem_file_names_file(tmp_path):
     [
         ("--eps", "0", "epsilon must be positive"),
         ("--eps", "-1", "epsilon must be positive"),
+        ("--eps", "inf", "epsilon must be finite"),
         ("--max-iters", "0", "max_iterations must be at least 1"),
     ],
 )
@@ -151,6 +152,17 @@ def test_bad_solve_settings_stop_before_any_instance(flag, value, message, monke
     with pytest.raises(SystemExit) as info:
         main(["--instance", "diag", "--n", "8", flag, value])
     assert str(info.value) == f"invalid configuration: {message}"
+
+
+@pytest.mark.parametrize("value", ["inf", "0"])
+def test_bad_b_scale_stops_before_any_instance(value, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("an instance was built before b_scale was checked")
+
+    monkeypatch.setattr(bench, "generate", no_build)
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "8", "--b-scale", value])
+    assert str(info.value) == "invalid configuration: b_scale must be positive and finite"
 
 
 def test_missing_problem_file_stops_before_any_solve(tmp_path, monkeypatch):
@@ -187,12 +199,3 @@ def test_bad_n_rejected():
 def test_unknown_method_rejected():
     with pytest.raises(SystemExit, match="invalid configuration"):
         main(["--instance", "diag", "--n", "10", "--methods", "newton"])
-
-
-def test_reps_flag(tmp_path):
-    out = tmp_path / "r.csv"
-    code = main(
-        ["--instance", "dense", "--n", "10", "--methods", "cg",
-         "--reps", "3", "--out", str(out)]
-    )
-    assert code == 0

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,15 @@ class TestDiagonalFamily:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             self.spec(1)
+
+
+@pytest.mark.parametrize("family", list(InstanceFamily))
+@pytest.mark.parametrize("b_scale", [math.inf, math.nan, 0.0, -1.0])
+def test_b_scale_must_be_positive_and_finite(family, b_scale):
+    # An infinite b_scale would make b infinite, which generate rejects only
+    # once the instance is drawn.
+    with pytest.raises(ValueError, match="b_scale must be positive and finite"):
+        InstanceSpec(family, 4, 0, b_scale=b_scale)
 
 
 class TestDenseRankOneFamily:
@@ -488,4 +498,25 @@ def test_files_in_bounded_memory(tmp_path, family):
     assert save_peak <= arrays_bytes
     assert load_peak <= 3 * arrays_bytes
     assert _entries(loaded).tobytes() == _entries(problem).tobytes()
+    assert loaded.b.tobytes() == problem.b.tobytes()
+
+
+def test_loaded_arrays_are_held_once(tmp_path):
+    # The parsed v and b become the operator's and the problem's arrays, not
+    # copies of them, the b of the c line's second problem included: beside
+    # the two arrays, loading holds one piece of text and its tokens.
+    generated = generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 200_000, 1))
+    problem = QuadraticProblem(generated.A, generated.b, 2.5)
+    arrays_bytes = problem.A.v.nbytes + problem.b.nbytes
+    path = tmp_path / "rank1.txt"
+    save_problem(problem, path)
+    tracemalloc.start()
+    try:
+        loaded = load_problem(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.5 * arrays_bytes
+    assert loaded.c == 2.5
+    assert loaded.A.v.tobytes() == problem.A.v.tobytes()
     assert loaded.b.tobytes() == problem.b.tobytes()

@@ -214,6 +214,24 @@ def test_immutability():
         p.b[0] = 2.0
 
 
+def test_kept_arrays_are_copied_unless_owned_and_read_only():
+    # A writable array, or a read-only view, stays the caller's: the
+    # operator and problem keep copies.  An owned, read-only float64 array
+    # is kept as it is.
+    writable = np.array([1.0, 2.0])
+    view = np.array([1.0, 2.0, 3.0])[:2]
+    view.setflags(write=False)
+    frozen = np.array([3.0, 4.0])
+    frozen.setflags(write=False)
+    for given, shared in ((writable, False), (view, False), (frozen, True)):
+        op = RankOneOperator(given, 1.0)
+        p = QuadraticProblem(DiagonalOperator(given), given)
+        for kept in (op.v, p.A.diag, p.b):
+            assert not kept.flags.writeable
+            assert np.shares_memory(kept, given) is shared
+            assert kept.tobytes() == given.tobytes()
+
+
 def bits(value):
     return np.float64(value).tobytes()
 

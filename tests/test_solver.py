@@ -22,6 +22,7 @@ from ellipcenter.quadratic import (
 )
 import ellipcenter
 import ellipcenter.solver as solver_module
+import ellipcenter.trace as trace_module
 from ellipcenter.baselines import cg_solve
 from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
@@ -32,13 +33,11 @@ from ellipcenter.solver import (
     SolveOptions,
     StepRecord,
     Termination,
-    _BATCH_ROWS,
-    _PackedTrace,
     _coeffs_from_gram,
     me_iterate,
     me_solve,
-    write_trace_csv,
 )
+from ellipcenter.trace import _BATCH_ROWS, _PackedTrace, write_trace_csv
 
 # Worst relative drift ||g - (A x - b)|| / ||A x - b|| the refreshed
 # recurrence may show between a carried gradient and the true one.
@@ -492,6 +491,13 @@ class TestSolveOptionsValidation:
         with pytest.raises(ValueError):
             SolveOptions(epsilon=0.0)
 
+    @pytest.mark.parametrize("mode", list(EpsilonMode))
+    def test_infinite_epsilon(self, mode):
+        # Every gradient norm is below an infinite threshold, so each solve
+        # would stop at once and report success.
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            SolveOptions(epsilon=math.inf, epsilon_mode=mode)
+
     def test_bad_max_iterations(self):
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
@@ -588,7 +594,7 @@ def assert_packed_round_trip(directory, records):
 @pytest.mark.parametrize("batch_rows", [1, 3, _BATCH_ROWS])
 @given(records=st.lists(step_records, max_size=12))
 def test_packed_trace_round_trip(tmp_path_factory, batch_rows, records):
-    with mock.patch.object(solver_module, "_BATCH_ROWS", batch_rows):
+    with mock.patch.object(trace_module, "_BATCH_ROWS", batch_rows):
         assert_packed_round_trip(tmp_path_factory.getbasetemp(), records)
 
 
@@ -612,9 +618,6 @@ def test_packed_trace_batch_edges(tmp_path):
     makers = list(kinds.values())
     changing = [makers[i % len(makers)](i) for i in range(2 * _BATCH_ROWS + 3)]
     assert_packed_round_trip(tmp_path, changing)
-    trace = packed_trace(changing)
-    trace.clear()
-    assert len(trace) == 0 and list(trace.packed()) == []
 
 
 def test_packed_midpoint_rows_are_small():
