@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quadratic import QuadraticProblem, _dot
-from .solver import SolveOptions, SolverResult, _drive, _level_length
+from .solver import SolveOptions, SolverResult, _axpy, _drive, _level_length
 
 __all__ = [
     "BBVariant",
@@ -128,14 +128,17 @@ def gradient_optimal_step_solve(
 ) -> SolverResult:
     """Gradient descent with the exact line-search step t = ||r||^2 / (r^T A r).
 
-    The gradient is carried as r <- r - t A r, one matvec a step.  t is half
-    the center step's level step and, like it, rejects r^T A r <= 0.
+    The gradient is carried as r <- r - t A r, one matvec a step, formed in
+    A r.  t is half the center step's level step and, like it, rejects
+    r^T A r <= 0.
     """
 
     def step(x, r, gg):
         ar = problem.A.matvec(r)
         t = 0.5 * _level_length(gg, float(_dot(r, ar)))
-        return x - t * r, r - t * ar, ()
+        ar *= -t
+        ar += r
+        return _axpy(-t, r, x), ar, ()
 
     return _drive(problem, x1, options, step, "gradient_optimal_step", carried=True)
 
@@ -158,7 +161,8 @@ def cg_solve(
             d = g
         else:
             theta = -_dot(g, ad) / _dot(d, ad)
-            d = g + theta * d
+            ad = None  # the last A d goes before the next matvec
+            d = _axpy(theta, d, g)
         ad = problem.A.matvec(d)
         dad = float(_dot(d, ad))
         if dad <= 0.0 or not np.isfinite(dad):
@@ -167,7 +171,7 @@ def cg_solve(
                 "definite or rounding destroyed conjugacy"
             )
         t = -_dot(d, g) / dad
-        return x + t * d, g + t * ad, ()
+        return _axpy(t, d, x), _axpy(t, ad, g), ()
 
     cap = min(options.max_iterations, problem.dim + _CG_EXTRA_ITERATIONS)
     options = replace(options, max_iterations=cap)
@@ -193,11 +197,16 @@ def bb_solve(
         nonlocal x_prev, g_prev
         t = math.nan
         if x_prev is not None:
-            t = bb_step_length(x - x_prev, g - g_prev, variant)
+            # Each old vector goes once its difference is formed, and the
+            # differences before the next iterate is made.
+            s, x_prev = x - x_prev, None
+            y, g_prev = g - g_prev, None
+            t = bb_step_length(s, y, variant)
+            del s, y
         if not np.isfinite(t) or t <= 0.0:
             t = _wolfe_step(problem, g)
         x_prev, g_prev = x, g
-        x_next = x - t * g
+        x_next = _axpy(-t, g, x)
         return x_next, problem.gradient(x_next), ()
 
     return _drive(problem, x1, options, step, "bb")
@@ -239,7 +248,7 @@ def gradient_wolfe_solve(
     """Gradient descent with Wolfe search along d = -grad f(x)."""
 
     def step(x, g, gg):
-        x_next = x - _wolfe_step(problem, g) * g
+        x_next = _axpy(-_wolfe_step(problem, g), g, x)
         return x_next, problem.gradient(x_next), ()
 
     return _drive(problem, x1, options, step, "gradient_wolfe")

@@ -206,10 +206,13 @@ class _Cursor:
         self.last_line = self.lineno
         return tok
 
-    def floats(self, count, section):
-        """The next count tokens as floats, each piece's share converted in
-        bulk, in a read-only array that the operators and problem keep."""
-        values = np.empty(count)
+    def floats(self, shape, section):
+        """The next tokens as floats, as many as an array of ``shape`` holds,
+        each piece's share converted in bulk, in an owned, read-only array of
+        that shape that the operators and problem keep."""
+        array = np.empty(shape)
+        values = array.reshape(-1)  # a view: filling it fills array
+        count = values.size
         done = 0
         while done < count:
             if self.peek() is None:
@@ -232,8 +235,8 @@ class _Cursor:
             done += k
             self._pos += k
             self.last_line = self.lineno
-        values.setflags(write=False)
-        return values
+        array.setflags(write=False)
+        return array
 
     def build(self, make, *args):
         # A value the operator or problem rejects fails at its section's last line.
@@ -289,8 +292,8 @@ def _parse(cur: _Cursor) -> QuadraticProblem:
         entries = cur.floats(n, "diagonal")
         operator = cur.build(DiagonalOperator, entries)
     elif kind == "dense":
-        entries = cur.floats(n * n, "matrix")
-        operator = cur.build(DenseOperator, entries.reshape(n, n))
+        entries = cur.floats((n, n), "matrix")
+        operator = cur.build(DenseOperator, entries)
     else:
         entries = cur.floats(n, "v")
         operator = cur.build(RankOneOperator, entries, sigma)

@@ -12,6 +12,13 @@ for every form:
 
 All operators and problems are immutable after construction; every operation
 here is a pure function, safe to call concurrently.
+
+``matvec`` returns a new, writable array that the caller owns: it shares no
+memory with its input or with the operator.  The solvers rely on this.  A
+step builds its results in place in the matvec outputs and in arrays it made
+itself, and never writes into its inputs or into an array it handed out
+before, so an observer may keep every iterate and gradient it is shown.
+``QuadraticProblem.gradient`` returns such an array too.
 """
 
 from __future__ import annotations
@@ -69,6 +76,19 @@ def _readonly(arr):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+# DenseOperator checks symmetry this many rows at a time, so the check's
+# temporaries are a slice of the matrix, not copies of it.
+_SYMMETRY_ROWS = 64
+
+
+def _is_symmetric(m, rows=_SYMMETRY_ROWS):
+    # np.allclose(m, m.T, rtol=1e-10, atol=0), one block of rows at a time.
+    return all(
+        np.allclose(m[i:i + rows], m[:, i:i + rows].T, rtol=1e-10, atol=0.0)
+        for i in range(0, m.shape[0], rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -174,7 +194,7 @@ class DenseOperator:
             raise ValueError("matrix must have at least one row")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        if not np.allclose(m, m.T, rtol=1e-10, atol=0.0):
+        if not _is_symmetric(m):
             raise ValueError("matrix must be symmetric")
         w = np.linalg.eigvalsh(m)
         if w[0] <= 0.0:
@@ -232,7 +252,9 @@ class QuadraticProblem:
     def gradient(self, x):
         """The derivative A x - b."""
         x = _as_vector(x, self.dim)
-        return self.A.matvec(x) - self.b
+        g = self.A.matvec(x)
+        g -= self.b
+        return g
 
     def a_inner(self, u, v) -> float:
         """The scalar product u^T A v of the energy norm."""

@@ -198,13 +198,11 @@ def _gram_delta(m11: float, m12: float, m22: float):
     return delta if delta > _DEPENDENCE_TOLERANCE * m11 * m22 else None
 
 
-def _combine(base, alpha, u, beta, v, tmp):
-    # base + alpha u + beta v, rounded in that order (the same bits as the
-    # expression), with one new array; tmp is scratch of the same length.
-    out = np.multiply(u, alpha)
-    out += base
-    np.multiply(v, beta, out=tmp)
-    out += tmp
+def _axpy(a, u, v):
+    # a u + v in one new array, rounded as the expression; x - t g is
+    # _axpy(-t, g, x), the same bits, since negation rounds nothing.
+    out = np.multiply(u, a)
+    out += v
     return out
 
 
@@ -219,7 +217,9 @@ def _coeffs_from_gram(gg, gxgy, m11, m12, m22, delta):
 
 def _center_step(problem: QuadraticProblem, x, g, gg: float):
     # me_iterate's step from x, g and gg = g.g: (x_next, g_next, g_y, fields),
-    # with fields the StepRecord's (branch, t, delta, alpha, beta).
+    # with fields the StepRecord's (branch, t, delta, alpha, beta).  It makes
+    # x_next, g_y and the two matvec outputs and writes only into those:
+    # g_next is built in A g, and A g_y is scratch once it is added in.
     ag_x = problem.A.matvec(g)
     m11 = float(_dot(g, ag_x))
     t = _level_length(gg, m11)
@@ -230,19 +230,26 @@ def _center_step(problem: QuadraticProblem, x, g, gg: float):
     m22 = float(_dot(g_y, ag_y))
     delta = _gram_delta(m11, m12, m22)
     if delta is None:
-        x_next = x - (0.5 * t) * g
-        g_next = g - (0.5 * t) * ag_x
-        return x_next, g_next, g_y, (Branch.MIDPOINT, t, None, None, None)
+        half = 0.5 * t
+        ag_x *= -half  # g - (t/2) A g
+        ag_x += g
+        return _axpy(-half, g, x), ag_x, g_y, (Branch.MIDPOINT, t, None, None, None)
     alpha, beta = _coeffs_from_gram(gg, float(_dot(g, g_y)), m11, m12, m22, delta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise RuntimeError(
             f"non-finite center coefficients (t={t}, delta={delta}, "
             f"alpha={alpha}, beta={beta})"
         )
-    tmp = np.empty_like(g)
-    x_next = _combine(x, alpha, g, beta, g_y, tmp)
-    g_next = _combine(g, alpha, ag_x, beta, ag_y, tmp)
-    return x_next, g_next, g_y, (Branch.ELLIPSE_CENTER, t, delta, alpha, beta)
+    # x + alpha g + beta g_y and g + alpha A g + beta A g_y, each rounded in
+    # that order: the same bits as the expressions.
+    x_next = _axpy(alpha, g, x)
+    ag_x *= alpha
+    ag_x += g
+    ag_y *= beta
+    ag_x += ag_y
+    np.multiply(g_y, beta, out=ag_y)
+    x_next += ag_y
+    return x_next, ag_x, g_y, (Branch.ELLIPSE_CENTER, t, delta, alpha, beta)
 
 
 def me_iterate(
@@ -300,7 +307,9 @@ def _drive(problem, x1, options, step, method, carried=False):
     update from ``x`` with gradient ``g`` and ``gg`` = g.g, and returns
     ``(x_next, g_next, fields)``, where ``fields`` are the step's own
     ``StepRecord`` fields after f and the gradient norm: the center step's
-    ``(branch, t, delta, alpha, beta)``, ``()`` for the baselines.  With an
+    ``(branch, t, delta, alpha, beta)``, ``()`` for the baselines.  A step
+    writes only into arrays it made itself: x, g and every array it returned
+    before stay intact, so an observer may keep them.  With an
     observer in ``options``, each update's record is built here, with f from
     the gradient in hand, and handed to it before x moves.  The gradient
     threshold is fixed from the initial iterate, a gradient norm that is not

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ellipcenter.baselines import (
     gradient_wolfe_solve,
     wolfe_search,
 )
+from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -534,3 +536,80 @@ def test_me_matvecs_between_cg_and_grad_on_uniform_spectrum():
         for solve in (cg_solve, me_solve, gradient_optimal_step_solve)
     )
     assert cg <= me <= grad
+
+
+def _contract_problem(kind):
+    rng = np.random.default_rng(81)
+    if kind == "dense":
+        return random_spd_problem(rng, 30)
+    return diag_problem(np.geomspace(1.0, 1e3, 40), b=rng.uniform(0.0, 5.0, 40))
+
+
+@pytest.mark.parametrize("kind", ["diag", "dense"])
+@pytest.mark.parametrize("method", [*SOLVERS, "bb-short"])
+def test_steps_leave_what_they_hand_out_intact(method, kind):
+    # A step writes only into arrays it made itself, so every x and g an
+    # observer is shown, x1 included, keeps its values for the whole solve:
+    # an observer may keep them without copying.  The diag problem runs
+    # past the carried gradients' refresh.
+    p = _contract_problem(kind)
+    x1 = np.zeros(p.dim)
+    shown = []
+
+    def keep(x, g, record):
+        shown.append((x, g, x.copy(), g.copy()))
+
+    options = SolveOptions(epsilon=1e-300, max_iterations=2 * _REFRESH_STEPS, observer=keep)
+    if method == "bb-short":
+        result = bb_solve(p, x1, BBVariant(short_steps=True), options)
+    else:
+        result = SOLVERS[method](p, x1, options)
+    assert len(shown) == result.iterations >= 2
+    assert shown[0][0] is x1 and not x1.any()
+    for x, g, x_copy, g_copy in shown:
+        assert x.tobytes() == x_copy.tobytes()
+        assert g.tobytes() == g_copy.tobytes()
+
+
+def test_midpoint_step_leaves_its_inputs_intact():
+    # g at x1 is an eigenvector, so g_y is parallel to it and the step takes
+    # the midpoint branch, which builds g_next in A g.
+    p = diag_problem([1.0, 4.0])
+    x1 = np.array([1.0, 0.0])
+    steps = Steps()
+    result = me_solve(p, x1, SolveOptions(observer=steps))
+    assert steps.records[0].branch is Branch.MIDPOINT
+    (x, g, _), = steps
+    assert x is x1 and x1.tolist() == [1.0, 0.0] and g.tolist() == [1.0, 0.0]
+    assert result.x_final.tolist() == [0.0, 0.0]
+
+
+# The most n-vectors a solve holds at once, x1 not counted, at n = 2*10^5
+# over at most 60 steps from x1 = 0, on the diag and rank-one ("dense")
+# families.  Beside its inputs a step makes only the arrays it hands out
+# and the matvec outputs; me made 9 / 7, grad 7 / 7 and bb 6 / 6 while
+# their steps made scratch vectors as well.
+LIVE_VECTORS = {"me": (7, 5), "grad": (5, 5), "bb-long": (5, 5), "bb-short": (5, 5),
+                "cg": (7, 6), "fast": (7, 7)}
+LIVE_N = 200_000
+
+
+@pytest.fixture(scope="module")
+def live_problems():
+    return [generate(InstanceSpec(family, LIVE_N, 1))
+            for family in (InstanceFamily.DIAGONAL_ILL_CONDITIONED,
+                           InstanceFamily.DENSE_RANK_ONE)]
+
+
+@pytest.mark.parametrize("method", LIVE_VECTORS)
+def test_live_vectors_per_solve(method, live_problems):
+    for problem, bound in zip(live_problems, LIVE_VECTORS[method]):
+        x1 = np.zeros(LIVE_N)
+        tracemalloc.start()
+        try:
+            METHODS[method](problem, x1, SolveOptions(max_iterations=60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beside the vectors, a solve holds a few kilobytes of Python objects.
+        assert peak / x1.nbytes < bound + 0.1

@@ -520,3 +520,25 @@ def test_loaded_arrays_are_held_once(tmp_path):
     assert loaded.c == 2.5
     assert loaded.A.v.tobytes() == problem.A.v.tobytes()
     assert loaded.b.tobytes() == problem.b.tobytes()
+
+
+def test_dense_file_loads_at_about_its_arrays(tmp_path):
+    # The matrix is parsed straight into the array DenseOperator keeps, and
+    # its symmetry check makes no n x n temporaries: beside the arrays,
+    # loading holds one piece of text, its tokens and a row block's scratch.
+    n = 700
+    rng = np.random.default_rng(70)
+    r = rng.standard_normal((n, n))
+    problem = QuadraticProblem(DenseOperator(r @ r.T + n * np.eye(n)), rng.standard_normal(n))
+    arrays_bytes = problem.A.matrix.nbytes + problem.b.nbytes
+    path = tmp_path / "dense.txt"
+    save_problem(problem, path)
+    tracemalloc.start()
+    try:
+        loaded = load_problem(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.5 * arrays_bytes
+    assert loaded.A.matrix.tobytes() == problem.A.matrix.tobytes()
+    assert loaded.b.tobytes() == problem.b.tobytes()

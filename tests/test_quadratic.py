@@ -8,6 +8,7 @@ from ellipcenter.quadratic import (
     QuadraticProblem,
     RankOneOperator,
     _dot,
+    _is_symmetric,
 )
 
 
@@ -230,6 +231,47 @@ def test_kept_arrays_are_copied_unless_owned_and_read_only():
             assert not kept.flags.writeable
             assert np.shares_memory(kept, given) is shared
             assert kept.tobytes() == given.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_matvec_returns_a_new_array_the_caller_owns(n):
+    # The solvers build their results in place in matvec outputs, so each
+    # must be a fresh, writable array sharing nothing with v or the operator.
+    rng = np.random.default_rng(9)
+    r = rng.standard_normal((n, n))
+    for op in (DiagonalOperator(rng.uniform(0.5, 10.0, n)),
+               RankOneOperator(rng.uniform(-1.0, 1.0, n), 2.0),
+               DenseOperator(r @ r.T + n * np.eye(n))):
+        v = rng.standard_normal(n)
+        v.setflags(write=False)
+        p = QuadraticProblem(op, rng.standard_normal(n))
+        for out in (op.matvec(v), p.gradient(v)):
+            assert out.flags.owndata and out.flags.writeable
+            for kept in (v, p.b, *(a for a in vars(op).values() if isinstance(a, np.ndarray))):
+                assert not np.shares_memory(out, kept)
+
+
+def test_block_symmetry_check_agrees_with_allclose():
+    # DenseOperator's check, a block of rows at a time, makes the decision
+    # np.allclose(m, m.T, rtol=1e-10, atol=0) makes, on matrices whose
+    # asymmetry sits below, at and just past the relative tolerance.
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, n, 2)
+            edge = m[j, i] + 1e-10 * abs(m[j, i]) * rng.choice([-1.0, 1.0])
+            m[i, j] = edge
+            for _ in range(int(rng.integers(0, 3))):
+                m[i, j] = np.nextafter(m[i, j], rng.choice([-np.inf, np.inf]))
+        expected = np.allclose(m, m.T, rtol=1e-10, atol=0.0)
+        verdicts.add(expected)
+        for rows in (1, 3, 64):
+            assert _is_symmetric(m, rows) is expected
+    assert verdicts == {True, False}
 
 
 def bits(value):
