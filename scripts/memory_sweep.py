@@ -2,12 +2,7 @@
 
     python3 scripts/memory_sweep.py --parent PATH --out BENCH_N.json
 
-PATH is a checkout of the commit to compare against, for instance one made
-with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
-checkout this script lives in is the change.  Every measurement runs in a
-fresh Python process that imports the package from the tree's ``src/``, and
-the two trees alternate, so both see the same machine at about the same time
-(see ``pairing.py``).  The report goes to the ``--out`` path and gets three
+``pairing.py`` says how the two trees are compared.  The report gets three
 parts:
 
 * ``live_vectors``: per tree, the tracemalloc peak of each solve divided by
@@ -30,21 +25,14 @@ The whole sweep takes about 25 minutes on two cores.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import tempfile
 
-from pairing import python_probe, sweep_perfbench
+from pairing import alternate, python_probe, rank1_1m_argv, sweep_perfbench, trees, write_report
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAULT_RUNS = 3
 PLAN = [("rank1-1m", 1, 10), ("rank1-1m", 2, 5), ("diag-10k", 1, 5),
         ("diag-64-tracedir", 1, 5)]
-RANK1_1M = ["--n", "1000000", "--seed", "1", "--eps", "1e-08", "--eps-mode", "rel",
-            "--methods", "me,cg,bb-long,bb-short"]
 
 # Runs in the fresh process: the peak n-vectors of every cell.
 LIVE_PROBE = r"""
@@ -67,15 +55,6 @@ for family in (InstanceFamily.DIAGONAL_ILL_CONDITIONED, InstanceFamily.DENSE_RAN
         out[f"{family.value} {method}"] = {"vectors": round(peak / x1.nbytes, 3),
                                            "iterations": r.iterations}
 print(json.dumps(out))
-"""
-
-# Runs in the fresh process: writes the rank-one n = 10^6 problem file.
-SAVE_PROBE = r"""
-import json, sys
-from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
-
-save_problem(generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1_000_000, 1)), sys.argv[1])
-print(json.dumps({}))
 """
 
 # Runs in the fresh process: the CLI grid once, with every solve wrapped in
@@ -111,14 +90,7 @@ def live_vectors(trees):
 
 
 def faults(trees, work):
-    path = os.path.join(work, "problem.txt")
-    python_probe(trees["change"], SAVE_PROBE, path)
-    argv = json.dumps(["--instance", "dense", "--instance", f"file:{path}", *RANK1_1M,
-                       "--out", os.path.join(work, "report.csv")])
-    runs = {name: [] for name in trees}
-    for k in range(FAULT_RUNS):
-        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-            runs[name].append(python_probe(trees[name], FAULT_PROBE, argv))
+    runs = alternate(trees, FAULT_RUNS, FAULT_PROBE, rank1_1m_argv(trees, work))
     out = {}
     for name, rs in runs.items():
         cells = [[r["cells"][i] for r in rs] for i in range(len(rs[0]["cells"]))]
@@ -130,43 +102,24 @@ def faults(trees, work):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    parser.add_argument("--out", required=True, help="path of the JSON report to write")
-    args = parser.parse_args(argv)
-    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
-
-    live = live_vectors(trees)
+    sides, out = trees(__doc__, argv)
+    live = live_vectors(sides)
     with tempfile.TemporaryDirectory() as work:
-        fault_counts = faults(trees, work)
-    perfbench = sweep_perfbench(trees, PLAN)
+        fault_counts = faults(sides, work)
+    perfbench = sweep_perfbench(sides, PLAN)
     for e in perfbench:
         e["setup_s_pairs"] = [[p["metrics"]["setup_s"]["value"], c["metrics"]["setup_s"]["value"]]
                               for p, c in zip(e["runs"]["parent"], e["runs"]["change"])]
 
-    report = {
-        "what": "Peak live n-vectors per solve, minor page faults per rank1-1m cell and "
-                "perfbench --trace 0 pairs, for the parent and this change on one machine.",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
-        "live_vectors": live,
-        "faults": fault_counts,
-        "perfbench": perfbench,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
     for key in live["parent"]:
         print(f"{key}: {live['parent'][key]['vectors']} -> {live['change'][key]['vectors']} "
               f"n-vectors")
     for name, f in fault_counts.items():
         print(f"{name}: rank1-1m minor faults per cell "
               f"{[(c['method'], c['minor_faults']) for c in f['median_cells']]}")
-    for e in perfbench:
-        line = ", ".join(f"{k} {e['parent'][k]['median']:.4g} -> {e['change'][k]['median']:.4g} "
-                         f"({e['change_won'][k]}/{e['pairs']})" for k in e["parent"])
-        print(f"{e['workload']} seed {e['seed']}: {line}; correct: {e['all_correct']}, "
-              f"cells match: {e['cells_match']}")
+    write_report(out, "Peak live n-vectors per solve, minor page faults per rank1-1m cell and "
+                      "perfbench --trace 0 pairs, for the parent and this change on one machine.",
+                 {"live_vectors": live, "faults": fault_counts}, perfbench)
 
 
 if __name__ == "__main__":

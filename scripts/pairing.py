@@ -1,17 +1,58 @@
-"""Helpers the sweep scripts share to compare two checkouts side by side.
+"""How the sweep scripts compare two checkouts side by side.
 
-Every measurement runs in a fresh Python process that imports the package
-from one tree's ``src/``, and the two trees ("parent" and "change")
-alternate, so both see the same machine at about the same time.
+A sweep takes ``--parent PATH --out PATH``: PATH is a checkout of the commit
+to compare against, for instance one made with ``git clone . /tmp/parent &&
+git -C /tmp/parent checkout REV``, and the checkout the script lives in is
+the change.  Every measurement runs in a fresh Python process that imports
+the package from one tree's ``src/``, and the two trees ("parent" and
+"change") alternate, so both see the same machine at about the same time.
+The report is one JSON file: ``what`` it measures, the ``environment`` (cores
+available, Python version, machine), the sweep's own parts, and its
+``perfbench`` entries.  An entry holds, per tree, the medians and quartiles of
+every end-to-end metric over its runs, the pairs the change won on each, and
+each run's result and cell lines (iterations, matvecs and f_final).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The rank1-1m workload's CLI grid, past its two instances: the generated
+# rank-one problem at n = 10^6, seed 1, and the same problem from its file.
+RANK1_1M = ["--n", "1000000", "--seed", "1", "--eps", "1e-08", "--eps-mode", "rel",
+            "--methods", "me,cg,bb-long,bb-short"]
+
+# Runs in the fresh process: writes the rank-one n = 10^6 problem file.
+SAVE_RANK1_1M = r"""
+import json, sys
+from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
+
+save_problem(generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1_000_000, 1)), sys.argv[1])
+print(json.dumps({}))
+"""
+
+
+def trees(doc, argv=None):
+    """Parse a sweep's required ``--parent`` and ``--out`` (``doc``'s first
+    line describes it) and return the two checkouts by name, and the report
+    path."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
+    parser.add_argument("--out", required=True, help="path of the JSON report to write")
+    args = parser.parse_args(argv)
+    try:
+        open(args.out, "a").close()  # an unwritable report stops the sweep before it runs
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
+    return {"parent": os.path.abspath(args.parent), "change": ROOT}, args.out
 
 
 def python_probe(tree, code, *args, env=None):
@@ -21,6 +62,25 @@ def python_probe(tree, code, *args, env=None):
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def alternate(trees, rounds, code, *args):
+    """``rounds`` results of ``python_probe(tree, code, *args)`` per tree, the
+    trees taking turns to go first."""
+    out = {name: [] for name in trees}
+    for k in range(rounds):
+        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
+            out[name].append(python_probe(trees[name], code, *args))
+    return out
+
+
+def rank1_1m_argv(trees, work):
+    """The rank1-1m workload's CLI argv, as JSON for a probe, with its
+    problem file (written by the change) and report in ``work``."""
+    path = os.path.join(work, "problem.txt")
+    python_probe(trees["change"], SAVE_RANK1_1M, path)
+    return json.dumps(["--instance", "dense", "--instance", f"file:{path}", *RANK1_1M,
+                       "--out", os.path.join(work, "report.csv")])
 
 
 def run_perfbench(tree, workload, seed):
@@ -84,3 +144,23 @@ def sweep_perfbench(trees, plan, same=lambda cell: cell):
             "runs": runs,
         })
     return entries
+
+
+def write_report(path, what, parts, perfbench):
+    """Write the report to ``path``: ``what``, the environment, each of
+    ``parts`` and the ``perfbench`` entries; then print one line per entry."""
+    report = {
+        "what": what,
+        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+                        "machine": platform.machine()},
+        **parts,
+        "perfbench": perfbench,
+    }
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for e in perfbench:
+        line = ", ".join(f"{k} {e['parent'][k]['median']:.4g} -> {e['change'][k]['median']:.4g} "
+                         f"({e['change_won'][k]}/{e['pairs']})" for k in e["parent"])
+        print(f"{e['workload']} seed {e['seed']}: {line}; correct: {e['all_correct']}, "
+              f"cells match: {e['cells_match']}")

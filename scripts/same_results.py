@@ -51,9 +51,8 @@ import subprocess
 import sys
 import tempfile
 
-from pairing import python_probe
+from pairing import ROOT, python_probe
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (family, n, seed, max_iterations or None for the default)
 INSTANCES = [
     ("diag", 64, 1, None),

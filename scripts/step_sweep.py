@@ -1,14 +1,9 @@
-"""Per-step solver cost of two checkouts, side by side: writes BENCH_9.json.
+"""Per-step solver cost of two checkouts, side by side, as one JSON file.
 
-    python3 scripts/step_sweep.py --parent PATH
+    python3 scripts/step_sweep.py --parent PATH --out BENCH_N.json
 
-PATH is a checkout of the commit to compare against, for instance one made
-with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
-checkout this script lives in is the change.  Every measurement runs in a
-fresh Python process that imports the package from the tree's ``src/``, and
-the two trees alternate, so both see the same machine at about the same time.
-
-The file gets three parts:
+``pairing.py`` says how the two trees are compared.  The report gets three
+parts:
 
 * ``steps``: microseconds per step of ``me_solve`` and
   ``fast_gradient_solve`` on the diag family, seed 1, at n = 64 (20,000-step
@@ -20,25 +15,20 @@ The file gets three parts:
 * ``trace_write``: microseconds per row of ``write_trace_csv`` on the
   records of the two traced n = 64 runs (the same minimum), with a digest
   of the files written;
-* ``perfbench``: ``perfbench/run.py --seconds 20 --trace 0`` result lines,
-  the two trees alternating in pairs: ten pairs of each workload at seed 1
-  and four of ``diag-64-tracedir`` at seed 5.  Each entry has the medians
-  and quartiles of every end-to-end metric, the pairs the change won on
-  each, and each run's cell lines (iterations, matvecs and f_final, which
-  must match between the trees).  The whole sweep takes about 40 minutes
-  on two cores.
+* ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
+  (``--seconds 20 --trace 0``): 10 of each workload at seed 1 and 4 of
+  ``diag-64-tracedir`` at seed 5.  Cell lines must match across every run
+  of both trees.
+
+The whole sweep takes about 40 minutes on two cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 
-from pairing import python_probe, sweep_perfbench
+from pairing import alternate, sweep_perfbench, trees, write_report
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STEP_CASES = [(64, 20_000), (10_000, 3_000)]  # (n, steps per run)
 REPEATS = 3  # runs per timing in one process
 PROBE_ROUNDS = 4  # processes per tree, alternating; the fastest of all is kept
@@ -105,20 +95,12 @@ print(json.dumps({"steps": steps, "trace_write": write}))
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    args = parser.parse_args(argv)
-    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
-
-    probes = {name: [] for name in trees}
-    for k in range(PROBE_ROUNDS):
-        order = list(trees) if k % 2 == 0 else list(reversed(trees))
-        for name in order:
-            probes[name].append(python_probe(trees[name], STEP_PROBE, json.dumps(STEP_CASES), REPEATS))
+    sides, out = trees(__doc__, argv)
+    probes = alternate(sides, PROBE_ROUNDS, STEP_PROBE, json.dumps(STEP_CASES), REPEATS)
     # The host's speed drifts for seconds at a time: keep each timing's
     # fastest run over all of a tree's probe processes.
-    best = {name: {} for name in trees}
-    for name in trees:
+    best = {name: {} for name in sides}
+    for name in sides:
         for probe in probes[name]:
             for row in probe["steps"]:
                 key = (row["method"], row["n"], row["traced"])
@@ -133,34 +115,21 @@ def main(argv=None):
             "same_result": all(parent[k] == change[k] for k in ("steps", "f_final", "x_final")),
         })
     writes = {name: min((p["trace_write"] for p in probes[name]), key=lambda w: w["s"])
-              for name in trees}
+              for name in sides}
+    same_files = writes["parent"]["files"] == writes["change"]["files"]
+    perfbench = sweep_perfbench(sides, PERFBENCH)
 
-    perfbench = sweep_perfbench(trees, PERFBENCH)
-    report = {
-        "what": "Per-step cost of me and fast, trace CSV writing, and the perfbench "
-                "--trace 0 results of all three workloads, for the parent and this change "
-                "on one machine.",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
-        "steps": steps,
-        "trace_write": {**writes, "same_files": writes["parent"]["files"] == writes["change"]["files"]},
-        "perfbench": perfbench,
-    }
-    with open(os.path.join(ROOT, "BENCH_9.json"), "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
     for row in steps:
         print(f"{row['method']:4} n={row['n']:>6} traced={row['traced']!s:5}  "
               f"{row['parent_us']:7.1f} -> {row['change_us']:7.1f} us/step  "
               f"same result: {row['same_result']}")
     p, c = writes["parent"], writes["change"]
     print(f"write_trace_csv {p['rows']} rows: {p['us_per_row']:.2f} -> {c['us_per_row']:.2f} "
-          f"us/row  same files: {report['trace_write']['same_files']}")
-    for e in perfbench:
-        wall = f"{e['parent']['wall_s']['median']:.2f} -> {e['change']['wall_s']['median']:.2f}"
-        print(f"{e['workload']} seed {e['seed']}: wall_s median {wall} s, change won "
-              f"{e['change_won']['wall_s']}/{e['pairs']}, correct: {e['all_correct']}, "
-              f"cells match: {e['cells_match']}")
+          f"us/row  same files: {same_files}")
+    write_report(out, "Per-step cost of me and fast, trace CSV writing, and the perfbench "
+                      "--trace 0 results of all three workloads, for the parent and this change "
+                      "on one machine.",
+                 {"steps": steps, "trace_write": {**writes, "same_files": same_files}}, perfbench)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,7 @@
 
     python3 scripts/thread_sweep.py --parent PATH --out BENCH_N.json
 
-PATH is a checkout of the commit to compare against, for instance one made
-with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
-checkout this script lives in is the change.  Every measurement runs in a
-fresh Python process that imports the package from the tree's ``src/``, and
-the two trees alternate, so both see the same machine at about the same time
-(see ``pairing.py``).  The report goes to the ``--out`` path and gets three
+``pairing.py`` says how the two trees are compared.  The report gets three
 parts:
 
 * ``bits``: per tree, the same grid run once under ``OPENBLAS_NUM_THREADS=1``
@@ -32,22 +27,15 @@ The whole sweep takes about 20 minutes on two cores.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import tempfile
 
-from pairing import python_probe, sweep_perfbench
+from pairing import alternate, python_probe, rank1_1m_argv, sweep_perfbench, trees, write_report
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = ("1", "2")
 CPU_RUNS = 3
 PLAN = [("rank1-1m", 1, 10), ("rank1-1m", 2, 3), ("diag-10k", 1, 3),
         ("diag-64-tracedir", 1, 3)]
-RANK1_1M = ["--n", "1000000", "--seed", "1", "--eps", "1e-08", "--eps-mode", "rel",
-            "--methods", "me,cg,bb-long,bb-short"]
 
 # Runs in the fresh process: every cell of the grid, keyed "family n method".
 BITS_PROBE = r"""
@@ -73,15 +61,6 @@ for family, n, methods, cap in grid:
             "x_final_sha256": hashlib.sha256(r.x_final.tobytes()).hexdigest()[:16],
             "solve_s": time.perf_counter() - t0}
 print(json.dumps(out))
-"""
-
-# Runs in the fresh process: writes the rank-one n = 10^6 problem file.
-SAVE_PROBE = r"""
-import json, sys
-from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
-
-save_problem(generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1_000_000, 1)), sys.argv[1])
-print(json.dumps({}))
 """
 
 # Runs in the fresh process: the CLI grid once, then the CPU time of each
@@ -127,14 +106,7 @@ def bits(trees):
 
 
 def thread_cpu(trees, work):
-    path = os.path.join(work, "problem.txt")
-    python_probe(trees["change"], SAVE_PROBE, path)
-    argv = json.dumps(["--instance", "dense", "--instance", f"file:{path}", *RANK1_1M,
-                       "--out", os.path.join(work, "report.csv")])
-    runs = {name: [] for name in trees}
-    for k in range(CPU_RUNS):
-        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-            runs[name].append(python_probe(trees[name], CPU_PROBE, argv))
+    runs = alternate(trees, CPU_RUNS, CPU_PROBE, rank1_1m_argv(trees, work))
     return {name: {"runs": rs, **{f"median_{key}": statistics.median(r[key] for r in rs)
                                   for key in ("wall_s", "main_thread_cpu_s",
                                               "other_threads_cpu_s", "process_cpu_s")}}
@@ -142,33 +114,15 @@ def thread_cpu(trees, work):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    parser.add_argument("--out", required=True, help="path of the JSON report to write")
-    args = parser.parse_args(argv)
-    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
-
-    bit_check = bits(trees)
+    sides, out = trees(__doc__, argv)
+    bit_check = bits(sides)
     with tempfile.TemporaryDirectory() as work:
-        cpu = thread_cpu(trees, work)
-    perfbench = sweep_perfbench(trees, PLAN, same=_same_cell)
+        cpu = thread_cpu(sides, work)
+    perfbench = sweep_perfbench(sides, PLAN, same=_same_cell)
     for e in perfbench:
         e["f_final_repeats"] = {name: all(r["cells"] == runs[0]["cells"] for r in runs)
                                 for name, runs in e["runs"].items()}
 
-    report = {
-        "what": "Solver results under 1 and 2 OpenBLAS threads, CPU seconds per thread of "
-                "the rank1-1m CLI grid, and perfbench --trace 0 pairs, for the parent and "
-                "this change on one machine.",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
-        "bits": bit_check,
-        "thread_cpu": cpu,
-        "perfbench": perfbench,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
     for name, b in bit_check.items():
         print(f"{name}: {b['same_on_1_and_2']} of {b['cells']} cells the same on 1 and 2 "
               f"threads; differ: {b['differ']}")
@@ -177,10 +131,11 @@ def main(argv=None):
               f"other threads {c['median_other_threads_cpu_s']:.2f} s, "
               f"wall {c['median_wall_s']:.2f} s")
     for e in perfbench:
-        line = ", ".join(f"{k} {e['parent'][k]['median']:.4g} -> {e['change'][k]['median']:.4g} "
-                         f"({e['change_won'][k]}/{e['pairs']})" for k in e["parent"])
-        print(f"{e['workload']} seed {e['seed']}: {line}; correct: {e['all_correct']}, "
-              f"cells match: {e['cells_match']}, f_final repeats: {e['f_final_repeats']}")
+        print(f"{e['workload']} seed {e['seed']}: f_final repeats: {e['f_final_repeats']}")
+    write_report(out, "Solver results under 1 and 2 OpenBLAS threads, CPU seconds per thread of "
+                      "the rank1-1m CLI grid, and perfbench --trace 0 pairs, for the parent and "
+                      "this change on one machine.",
+                 {"bits": bit_check, "thread_cpu": cpu}, perfbench)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,10 @@
 
     python3 scripts/trace_sweep.py --parent PATH --out BENCH_N.json
 
-PATH is a checkout of the commit to compare against, for instance one made
-with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
-checkout this script lives in is the change.  Every measurement runs in a
-fresh Python process that imports the package from the tree's ``src/``, and
-the two trees alternate, so both see the same machine at about the same time
-(see ``pairing.py``).
-
-The grid is the ``diag-64-tracedir`` workload's: the diag instance at n = 64,
-seed 1, with me, fast, bb-long, bb-short and cg, through ``run_benchmark``.
-The report goes to the ``--out`` path and gets four parts:
+``pairing.py`` says how the two trees are compared.  The grid is the
+``diag-64-tracedir`` workload's: the diag instance at n = 64, seed 1, with
+me, fast, bb-long, bb-short and cg, through ``run_benchmark``.  The report
+gets four parts:
 
 * ``vmhwm``: the peak resident set (``VmHWM`` in ``/proc/self/status``) of a
   process that runs the grid with a trace directory, and of one that runs it
@@ -32,15 +26,11 @@ The whole sweep takes about half an hour on two cores.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
 
-from pairing import python_probe, sweep_perfbench
+from pairing import alternate, python_probe, sweep_perfbench, trees, write_report
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METHODS = ["me", "fast", "bb-long", "bb-short", "cg"]
 VMHWM_RUNS = 5
 WRITE_RUNS = 3
@@ -123,31 +113,18 @@ print(json.dumps(out))
 """
 
 
-def alternate(trees, runs, probe, *args):
-    """``runs`` results of ``probe`` per tree, the trees taking turns first."""
-    out = {name: [] for name in trees}
-    for k in range(runs):
-        for name in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
-            out[name].append(python_probe(trees[name], probe, *args))
-    return out
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    parser.add_argument("--out", required=True, help="path of the JSON report to write")
-    args = parser.parse_args(argv)
-    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    sides, out = trees(__doc__, argv)
     methods = json.dumps(METHODS)
 
     vmhwm = {}
     for mode in ("traced", "untraced"):
-        runs = alternate(trees, VMHWM_RUNS, VMHWM_PROBE, methods, mode)
+        runs = alternate(sides, VMHWM_RUNS, VMHWM_PROBE, methods, mode)
         vmhwm[mode] = {name: {"median_mb": statistics.median(r["vmhwm_mb"] for r in rs),
                               "runs_mb": [r["vmhwm_mb"] for r in rs]}
                        for name, rs in runs.items()}
-    held = {name: python_probe(tree, HELD_PROBE, methods) for name, tree in trees.items()}
-    writes = alternate(trees, WRITE_RUNS, WRITE_PROBE, methods)
+    held = {name: python_probe(tree, HELD_PROBE, methods) for name, tree in sides.items()}
+    writes = alternate(sides, WRITE_RUNS, WRITE_PROBE, methods)
     write = {
         name: {m: {"rows": rs[0][m]["rows"], "sha256": rs[0][m]["sha256"],
                    "write_s": min(r[m]["write_s"] for r in rs)} for m in METHODS}
@@ -155,37 +132,23 @@ def main(argv=None):
     }
     same_traces = all(write["parent"][m]["sha256"] == write["change"][m]["sha256"]
                       for m in METHODS)
-    perfbench = sweep_perfbench(trees, PLAN)
+    perfbench = sweep_perfbench(sides, PLAN)
 
-    report = {
-        "what": "Traced benchmark cells of the parent and this change on one machine: peak "
-                "RSS of the traced diag n=64 grid, bytes held per traced step, seconds of "
-                "write_trace_csv, and perfbench --trace 0 pairs of all three workloads.",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
-        "grid": {"instance": "diag n=64 seed 1", "methods": METHODS},
-        "vmhwm": vmhwm,
-        "held": held,
-        "write": {**write, "same_traces": same_traces},
-        "perfbench": perfbench,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    for mode, sides in vmhwm.items():
-        print(f"VmHWM {mode}: parent {sides['parent']['median_mb']:.1f} MB, "
-              f"change {sides['change']['median_mb']:.1f} MB")
+    for mode, by_tree in vmhwm.items():
+        print(f"VmHWM {mode}: parent {by_tree['parent']['median_mb']:.1f} MB, "
+              f"change {by_tree['change']['median_mb']:.1f} MB")
     for m in METHODS:
         p, c = held["parent"][m], held["change"][m]
         print(f"{m:8} {c['steps']:>7} steps  held {p['bytes_per_step']:.1f} -> "
               f"{c['bytes_per_step']:.1f} B/step  write {write['parent'][m]['write_s']:.3f} -> "
               f"{write['change'][m]['write_s']:.3f} s")
     print(f"same trace bytes: {same_traces}")
-    for e in perfbench:
-        line = ", ".join(f"{k} {e['parent'][k]['median']:.4g} -> {e['change'][k]['median']:.4g} "
-                         f"({e['change_won'][k]}/{e['pairs']})" for k in e["parent"])
-        print(f"{e['workload']} seed {e['seed']}: {line}; correct: {e['all_correct']}, "
-              f"cells match: {e['cells_match']}")
+    write_report(out, "Traced benchmark cells of the parent and this change on one machine: peak "
+                      "RSS of the traced diag n=64 grid, bytes held per traced step, seconds of "
+                      "write_trace_csv, and perfbench --trace 0 pairs of all three workloads.",
+                 {"grid": {"instance": "diag n=64 seed 1", "methods": METHODS}, "vmhwm": vmhwm,
+                  "held": held, "write": {**write, "same_traces": same_traces}},
+                 perfbench)
 
 
 if __name__ == "__main__":

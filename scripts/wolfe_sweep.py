@@ -1,14 +1,9 @@
-"""Cost of Barzilai-Borwein's Wolfe search in two checkouts: writes BENCH_10.json.
+"""Cost of Barzilai-Borwein's Wolfe search in two checkouts, as one JSON file.
 
-    python3 scripts/wolfe_sweep.py --parent PATH
+    python3 scripts/wolfe_sweep.py --parent PATH --out BENCH_N.json
 
-PATH is a checkout of the commit to compare against, for instance one made
-with ``git clone . /tmp/parent && git -C /tmp/parent checkout REV``; the
-checkout this script lives in is the change.  Every measurement runs in a
-fresh Python process that imports the package from the tree's ``src/``, and
-the two trees alternate (see ``pairing.py``).
-
-The file gets two parts:
+``pairing.py`` says how the two trees are compared.  The report gets two
+parts:
 
 * ``first_search``: the Wolfe search that makes bb's first step from
   x1 = 0, on the rank-one family at n = 10^6 and the diag family at
@@ -17,26 +12,19 @@ The file gets two parts:
   oracle ``_line_oracle``).  Seconds are the minimum of 3 fresh processes
   per tree, one search each; each process also counts the search's matvecs
   and returns its t, which must be the same bits in both trees;
-* ``perfbench``: ``perfbench/run.py --seconds 20 --trace 0`` result lines,
-  the two trees alternating in pairs: ten pairs of ``rank1-1m`` at seed 1
-  and four at seed 5, and four each of ``diag-10k`` and
-  ``diag-64-tracedir`` at seed 1.  Each entry has the medians and quartiles
-  of every end-to-end metric, the pairs the change won on each, and each
-  run's cell lines.  Cells must match between the trees in everything but
-  bb's matvec count, which the entry's ``bb_matvecs`` reports per tree.
-  The whole sweep takes about 25 minutes on two cores.
+* ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
+  (``--seconds 20 --trace 0``): 10 of ``rank1-1m`` at seed 1 and 4 at
+  seed 5, and 4 each of ``diag-10k`` and ``diag-64-tracedir`` at seed 1.
+  Cells must match across every run of both trees in everything but bb's
+  matvec count, which the entry's ``bb_matvecs`` reports per tree.
+
+The whole sweep takes about 25 minutes on two cores.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
+from pairing import alternate, sweep_perfbench, trees, write_report
 
-from pairing import python_probe, sweep_perfbench
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEARCH_CASES = [("dense", 1_000_000), ("diag", 10_000)]  # (family, n), seed 1
 SEARCH_ROUNDS = 3  # processes per tree, alternating; the fastest is kept
 # (workload, seed, pairs); seed 5 of rank1-1m is a seed the change was not
@@ -104,18 +92,10 @@ def _bb_matvecs(cells):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
-    args = parser.parse_args(argv)
-    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
-
+    sides, out = trees(__doc__, argv)
     searches = []
     for family, n in SEARCH_CASES:
-        probes = {name: [] for name in trees}
-        for k in range(SEARCH_ROUNDS):
-            order = list(trees) if k % 2 == 0 else list(reversed(trees))
-            for name in order:
-                probes[name].append(python_probe(trees[name], SEARCH_PROBE, family, n))
+        probes = alternate(sides, SEARCH_ROUNDS, SEARCH_PROBE, family, n)
         entry = {"family": family, "n": n, "seed": 1}
         for name, runs in probes.items():
             entry[name] = {"s": min(r["s"] for r in runs), "runs_s": [r["s"] for r in runs],
@@ -124,30 +104,19 @@ def main(argv=None):
         entry["same_t"] = all(r["t"] == every[0]["t"] for r in every)
         searches.append(entry)
 
-    perfbench = sweep_perfbench(trees, PERFBENCH, same=_same)
+    perfbench = sweep_perfbench(sides, PERFBENCH, same=_same)
     for entry in perfbench:
         entry["bb_matvecs"] = {name: _bb_matvecs(runs[0]["cells"])
                                for name, runs in entry["runs"].items()}
-    report = {
-        "what": "Cost of bb's first Wolfe search, and the perfbench --trace 0 results of "
-                "all three workloads, for the parent and this change on one machine.",
-        "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
-        "first_search": searches,
-        "perfbench": perfbench,
-    }
-    with open(os.path.join(ROOT, "BENCH_10.json"), "w") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
     for e in searches:
         p, c = e["parent"], e["change"]
         print(f"first search {e['family']} n={e['n']}: {p['s']:.4f} -> {c['s']:.4f} s, "
               f"matvecs {p['matvecs']} -> {c['matvecs']}, t {c['t']}, same t: {e['same_t']}")
     for e in perfbench:
-        solve = f"{e['parent']['solve_s']['median']:.2f} -> {e['change']['solve_s']['median']:.2f}"
-        print(f"{e['workload']} seed {e['seed']}: solve_s median {solve} s, change won "
-              f"{e['change_won']['solve_s']}/{e['pairs']}, correct: {e['all_correct']}, "
-              f"cells match: {e['cells_match']}, bb matvecs {e['bb_matvecs']}")
+        print(f"{e['workload']} seed {e['seed']}: bb matvecs {e['bb_matvecs']}")
+    write_report(out, "Cost of bb's first Wolfe search, and the perfbench --trace 0 results of "
+                      "all three workloads, for the parent and this change on one machine.",
+                 {"first_search": searches}, perfbench)
 
 
 if __name__ == "__main__":

@@ -153,14 +153,14 @@ def cg_solve(
     n iterations, so the loop is capped at n plus a small rounding slack.
     The gradient is carried as g <- g + t A d, one matvec a step.
     """
-    d = ad = None
+    d = ad = dad = None
 
     def step(x, g, gg):
-        nonlocal d, ad
+        nonlocal d, ad, dad
         if d is None:
             d = g
         else:
-            theta = -_dot(g, ad) / _dot(d, ad)
+            theta = -_dot(g, ad) / dad  # dad is the last step's <d, A d>
             ad = None  # the last A d goes before the next matvec
             d = _axpy(theta, d, g)
         ad = problem.A.matvec(d)

@@ -112,8 +112,19 @@ def _build_instances(args):
     return instances
 
 
+def _check_report_files(out):
+    # Opened for appending, so no existing report is truncated before the run.
+    for path in (out, f"{out}.instances.jsonl"):
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise SystemExit(f"report file {path}: {exc.strerror}")
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    if args.out is not None:
+        _check_report_files(args.out)
     methods = tuple(m for m in args.methods.split(",") if m)
     try:
         cfg = BenchConfig(

@@ -43,7 +43,10 @@ holds one piece of text and its tokens, however long the lines are.
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from operator import length_hint
@@ -168,10 +171,12 @@ class _Cursor:
     ``lineno`` is the line of the next token (at the end of the file, of the
     last one).  A byte that is not valid UTF-8 is found when its piece is
     read, so on a line longer than a piece, a bad token in an earlier piece
-    is reported first."""
+    is reported first.  ``size`` is the file's size in bytes, or None when
+    it is not known."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, size):
         self._readline = fh.readline
+        self._size = size
         self._line = 1  # the line of the next piece
         self._carry = ""  # a token that the last piece may have cut
         self._tokens, self._pos = [], 0
@@ -209,10 +214,18 @@ class _Cursor:
     def floats(self, shape, section):
         """The next tokens as floats, as many as an array of ``shape`` holds,
         each piece's share converted in bulk, in an owned, read-only array of
-        that shape that the operators and problem keep."""
+        that shape that the operators and problem keep.  A section with more
+        entries than a file of ``size`` bytes can hold is refused before its
+        array is made."""
+        count = math.prod(shape)
+        # Tokens are whitespace-separated, so each but the last takes two bytes.
+        if self._size is not None and count > (self._size + 1) // 2:
+            raise ProblemFormatError(
+                f"line {self.last_line}: expected {count} entries in the {section} "
+                f"section, more than a file of {self._size} bytes holds"
+            )
         array = np.empty(shape)
         values = array.reshape(-1)  # a view: filling it fills array
-        count = values.size
         done = 0
         while done < count:
             if self.peek() is None:
@@ -252,11 +265,15 @@ def load_problem(path) -> QuadraticProblem:
     The file is read as UTF-8.  Every value the operators and
     ``QuadraticProblem`` reject, and every byte that is not valid UTF-8, is
     reported as a ``ProblemFormatError`` with a line number and ``filename``
-    set to path.
+    set to path.  A header that asks for more entries than a regular file's
+    size allows is reported before any array is made; from a file that is not
+    regular, such as a pipe, the arrays are made at the header's size.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
         try:
-            return _parse(_Cursor(fh))
+            return _parse(_Cursor(fh, size))
         except ProblemFormatError as exc:
             exc.filename = str(path)
             raise
@@ -289,24 +306,24 @@ def _parse(cur: _Cursor) -> QuadraticProblem:
     sigma = take_header_number("sigma", float) if kind == "rank1" else None
 
     if kind == "diag":
-        entries = cur.floats(n, "diagonal")
+        entries = cur.floats((n,), "diagonal")
         operator = cur.build(DiagonalOperator, entries)
     elif kind == "dense":
         entries = cur.floats((n, n), "matrix")
         operator = cur.build(DenseOperator, entries)
     else:
-        entries = cur.floats(n, "v")
+        entries = cur.floats((n,), "v")
         operator = cur.build(RankOneOperator, entries, sigma)
 
     found = cur.take() or "end of file"
     if found != "b":
         raise ProblemFormatError(f"line {cur.lineno}: expected the b section, found {found!r}")
-    b = cur.floats(n, "b")
+    b = cur.floats((n,), "b")
     problem = cur.build(QuadraticProblem, operator, b)
 
     if cur.peek() == "c":
         cur.take()
-        c = cur.floats(1, "c")[0]
+        c = cur.floats((1,), "c")[0]
         problem = cur.build(QuadraticProblem, operator, b, c)
     tok = cur.peek()
     if tok is not None:

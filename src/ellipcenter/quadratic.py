@@ -250,8 +250,7 @@ class QuadraticProblem:
         return float(0.5 * _dot(x, self.A.matvec(x)) - _dot(self.b, x) + self.c)
 
     def gradient(self, x):
-        """The derivative A x - b."""
-        x = _as_vector(x, self.dim)
+        """The derivative A x - b.  The operator's matvec checks x."""
         g = self.A.matvec(x)
         g -= self.b
         return g

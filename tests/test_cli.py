@@ -127,6 +127,25 @@ def test_bad_problem_file_names_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("diag 10000000000000\n1 2\nb\n1 1\n",
+         "line 1: expected 10000000000000 entries in the diagonal section, "
+         "more than a file of 30 bytes holds"),
+        ("dense 4000000\n1 2\nb\n1 1\n",
+         "line 1: expected 16000000000000 entries in the matrix section, "
+         "more than a file of 24 bytes holds"),
+    ],
+)
+def test_oversized_header_names_file(tmp_path, text, message):
+    bad = tmp_path / "huge.txt"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", f"file:{bad}", "--methods", "me"])
+    assert str(info.value) == f"problem file {bad}: {message}"
+
+
 def test_undecodable_problem_file_names_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"diag 2\n1 \xff\nb\n0 0\n")
@@ -189,6 +208,31 @@ def test_bad_trace_dir_stops_before_any_solve(tmp_path, monkeypatch):
               "--trace-dir", str(not_a_dir)])
     assert str(info.value) == f"trace directory {not_a_dir}: File exists"
     assert solved == []
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_bad_report_file_stops_before_any_instance(tmp_path, monkeypatch, where):
+    def no_build(spec):
+        raise AssertionError("an instance was built before the report file was checked")
+
+    monkeypatch.setattr(bench, "generate", no_build)
+    out = tmp_path / "nope" / "r.csv" if where == "missing directory" else tmp_path
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "50", "--methods", "me,cg", "--out", str(out)])
+    assert str(info.value) == f"report file {out}: {reason}"
+
+
+def test_report_file_check_keeps_an_existing_report(tmp_path, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("an instance was built")
+
+    report = tmp_path / "r.csv"
+    report.write_text("earlier report\n")
+    monkeypatch.setattr(bench, "generate", no_build)
+    with pytest.raises(SystemExit):
+        main(["--instance", "diag", "--n", "8", "--eps", "0", "--out", str(report)])
+    assert report.read_text() == "earlier report\n"
 
 
 def test_bad_n_rejected():

@@ -287,6 +287,14 @@ class TestLoadProblem:
             ("diag 2\n1 2\nb\n1\n\n", "line 4: expected 2 entries in the b section, found 1"),
             ("diag 2\n1 2\n\n\n", "line 2: expected the b section, found 'end of file'"),
             ("\n  \n", "line 1: empty problem file"),
+            # headers that ask for more entries than the file can hold are
+            # refused before their arrays are made
+            ("diag 10000000000000\n1 2\nb\n1 1\n",
+             "line 1: expected 10000000000000 entries in the diagonal section, "
+             "more than a file of 30 bytes holds"),
+            ("dense 4000000\n1 2\nb\n1 1\n",
+             "line 1: expected 16000000000000 entries in the matrix section, "
+             "more than a file of 24 bytes holds"),
         ],
     )
     def test_error_messages(self, tmp_path, text, message):

@@ -128,6 +128,17 @@ class TestValueGradient:
         p = QuadraticProblem(DiagonalOperator([1.0, 1.0]), [3.0, 3.0])
         np.testing.assert_allclose(p.gradient([1.0, 1.0]), [-2.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "op",
+        [DiagonalOperator([1.0, 2.0]), RankOneOperator([1.0, 1.0], 1.0),
+         DenseOperator([[2.0, 0.0], [0.0, 3.0]])],
+        ids=["diag", "rank1", "dense"],
+    )
+    def test_gradient_rejects_wrong_length(self, op):
+        p = QuadraticProblem(op, [1.0, 1.0])
+        with pytest.raises(ValueError, match="^vector has length 3, expected 2$"):
+            p.gradient([1.0, 2.0, 3.0])
+
     def test_gradient_vanishes_at_direct_solve(self):
         rng = np.random.default_rng(5)
         r = rng.standard_normal((4, 4))
