@@ -6,11 +6,15 @@ git -C /tmp/parent checkout REV``, and the checkout the script lives in is
 the change.  Every measurement runs in a fresh Python process that imports
 the package from one tree's ``src/``, and the two trees ("parent" and
 "change") alternate, so both see the same machine at about the same time.
-The report is one JSON file: ``what`` it measures, the ``environment`` (cores
-available, Python version, machine), the sweep's own parts, and its
-``perfbench`` entries.  An entry holds, per tree, the medians and quartiles of
-every end-to-end metric over its runs, the pairs the change won on each, and
-each run's result and cell lines (iterations, matvecs and f_final).
+The report is one JSON file: ``what`` it measures, the ``environment``, the
+sweep's own parts, and its ``perfbench`` entries.  The environment holds the
+cores, Python version and machine, the sweep script's file name, and per tree
+its path, ``git rev-parse HEAD``, whether ``git status --porcelain`` listed
+anything (both null off a git checkout) and the numpy it imports: check out
+each HEAD and run the script to rerun the report.  An entry holds, per tree,
+the medians and quartiles of every end-to-end metric over its runs, the pairs
+the change won on each, and each run's result, cell lines and perfbench's own
+``environment`` line (numpy, BLAS and caches).
 """
 
 from __future__ import annotations
@@ -25,18 +29,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The rank1-1m workload's CLI grid, past its two instances: the generated
-# rank-one problem at n = 10^6, seed 1, and the same problem from its file.
-RANK1_1M = ["--n", "1000000", "--seed", "1", "--eps", "1e-08", "--eps-mode", "rel",
-            "--methods", "me,cg,bb-long,bb-short"]
-
-# Runs in the fresh process: writes the rank-one n = 10^6 problem file.
-SAVE_RANK1_1M = r"""
-import json, sys
-from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
-
-save_problem(generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 1_000_000, 1)), sys.argv[1])
-print(json.dumps({}))
+# Runs in the fresh process: the numpy a tree's measurements import.
+NUMPY_PROBE = r"""
+import json, numpy
+print(json.dumps({"numpy": numpy.__version__}))
 """
 
 
@@ -48,11 +44,19 @@ def trees(doc, argv=None):
     parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
     parser.add_argument("--out", required=True, help="path of the JSON report to write")
     args = parser.parse_args(argv)
+    existed = os.path.exists(args.out)
     try:
         open(args.out, "a").close()  # an unwritable report stops the sweep before it runs
     except OSError as exc:
         parser.error(f"--out {args.out}: {exc.strerror}")
-    return {"parent": os.path.abspath(args.parent), "change": ROOT}, args.out
+    if not existed:
+        os.remove(args.out)  # so that the report does not show in its own tree's git status
+    parent = os.path.abspath(args.parent)
+    if len(parent) != len(ROOT):
+        print(f"warning: the parent's path has {len(parent)} characters and this checkout's "
+              f"{len(ROOT)}; perfbench's diag-10k setup_s follows a checkout's path length, so "
+              "clone the parent to a path of the same length", file=sys.stderr)
+    return {"parent": parent, "change": ROOT}, args.out
 
 
 def python_probe(tree, code, *args, env=None):
@@ -74,18 +78,10 @@ def alternate(trees, rounds, code, *args):
     return out
 
 
-def rank1_1m_argv(trees, work):
-    """The rank1-1m workload's CLI argv, as JSON for a probe, with its
-    problem file (written by the change) and report in ``work``."""
-    path = os.path.join(work, "problem.txt")
-    python_probe(trees["change"], SAVE_RANK1_1M, path)
-    return json.dumps(["--instance", "dense", "--instance", f"file:{path}", *RANK1_1M,
-                       "--out", os.path.join(work, "report.csv")])
-
-
 def run_perfbench(tree, workload, seed):
     """One ``perfbench/run.py --seconds 20 --trace 0`` run in ``tree``: its
-    result line, with the run's cell lines under ``"cells"``."""
+    result line, with the run's cell lines under ``"cells"`` and its
+    environment line under ``"environment"``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "20", "--trace", "0"],
@@ -96,6 +92,8 @@ def run_perfbench(tree, workload, seed):
         raise SystemExit(f"perfbench {workload} in {tree} failed:\n{proc.stderr}")
     result = json.loads(lines[-1])
     result["cells"] = [line for line in lines if line.startswith("cell ")]
+    result["environment"] = next((json.loads(line.split(" ", 1)[1]) for line in lines
+                                  if line.startswith("environment ")), None)
     return result
 
 
@@ -146,13 +144,29 @@ def sweep_perfbench(trees, plan, same=lambda cell: cell):
     return entries
 
 
-def write_report(path, what, parts, perfbench):
-    """Write the report to ``path``: ``what``, the environment, each of
-    ``parts`` and the ``perfbench`` entries; then print one line per entry."""
+def _git(tree, *args):
+    proc = subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _checkout(tree):
+    # A directory inside some other checkout is not a checkout of its own.
+    top = _git(tree, "rev-parse", "--show-toplevel")
+    git = top is not None and os.path.realpath(top) == os.path.realpath(tree)
+    status = _git(tree, "status", "--porcelain") if git else None
+    return {"path": tree, "head": _git(tree, "rev-parse", "HEAD") if git else None,
+            "dirty": None if status is None else status != "", **python_probe(tree, NUMPY_PROBE)}
+
+
+def write_report(path, script, trees, what, parts, perfbench):
+    """Write the report to ``path``: ``what``, the environment of ``script``
+    (the sweep's file) and of ``trees``, each of ``parts`` and the
+    ``perfbench`` entries; then print one line per entry."""
     report = {
         "what": what,
         "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                        "machine": platform.machine()},
+                        "machine": platform.machine(), "script": os.path.basename(script),
+                        "trees": {name: _checkout(tree) for name, tree in trees.items()}},
         **parts,
         "perfbench": perfbench,
     }

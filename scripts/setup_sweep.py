@@ -7,9 +7,10 @@
 measured the save; both hold perfbench medians per workload rather than
 ``sweep_perfbench`` entries.)  The report gets four parts:
 
-* ``setup``: min-of-3 seconds of ``generate`` and ``load_problem`` (of
-  the file ``save_problem`` wrote) for the diag and dense (rank-one) families
-  at n = 10^2 ... 10^6, with a digest of every generated and loaded array,
+* ``setup``: seconds of ``generate`` and ``load_problem`` (of the file
+  ``save_problem`` wrote) for the diag and dense (rank-one) families at
+  n = 10^2 ... 10^6, the minimum of 3 runs in each of four alternating
+  processes per tree, with a digest of every generated and loaded array,
   so that bit-identical instances show as equal digests;
 * ``load_rss``: the peak RSS of a fresh process that loads the rank-one
   n = 10^6 file, next to its RSS just before the load;
@@ -31,11 +32,12 @@ import json
 import os
 import tempfile
 
-from pairing import python_probe, sweep_perfbench, trees, write_report
+from pairing import alternate, python_probe, sweep_perfbench, trees, write_report
 
 SIZES = [10**k for k in range(2, 7)]
 FAMILIES = ["diag", "dense"]
-REPEATS = 3  # set-up timings per step; the minimum is kept
+REPEATS = 3  # set-up timings per step in one process
+ROUNDS = 4  # processes per tree, alternating; the fastest timing of all is kept
 PLAN = [("diag-10k", 1, 3), ("diag-64-tracedir", 1, 3), ("rank1-1m", 1, 3)]
 
 # Runs in the fresh process: times one family over all sizes.
@@ -101,9 +103,11 @@ def main(argv=None):
     setup = {}
     with tempfile.TemporaryDirectory() as work:
         for family in FAMILIES:
-            for name, tree in sides.items():
-                rows = python_probe(tree, SETUP_PROBE, family, json.dumps(SIZES), REPEATS, work)
-                for row in rows:
+            runs = alternate(sides, ROUNDS, SETUP_PROBE, family, json.dumps(SIZES), REPEATS, work)
+            for name, probes in runs.items():
+                for rows in zip(*probes):  # one size over all rounds
+                    row = dict(rows[0], **{key: min(r[key] for r in rows)
+                                           for key in ("generate_s", "load_problem_s")})
                     setup.setdefault((family, row.pop("n")), {})[name] = row
         rank1_file = os.path.join(work, "dense_1000000.txt")
         load_rss = {name: python_probe(tree, RSS_PROBE, rank1_file) for name, tree in sides.items()}
@@ -126,9 +130,10 @@ def main(argv=None):
         print(f"save peak RSS {name}: {rss['peak_mb']:.0f} MB ({rss['before_save_mb']:.0f} MB "
               "before, the peak of generate)")
     print(f"saved files identical: {save_rss['same_bytes']}")
-    write_report(out, "Instance set-up (generate, save_problem, load_problem) of the parent and "
-                      "this change on one machine, with the perfbench --trace 0 results of all "
-                      "three workloads.",
+    write_report(out, __file__, sides,
+                 "Instance set-up (generate, save_problem, load_problem) of the parent and "
+                 "this change on one machine, with the perfbench --trace 0 results of all "
+                 "three workloads.",
                  {"setup": setup,
                   "load_rss": {"file": "rank1 n=1000000 seed 1, written by save_problem",
                                **load_rss},

@@ -126,9 +126,10 @@ def main(argv=None):
     p, c = writes["parent"], writes["change"]
     print(f"write_trace_csv {p['rows']} rows: {p['us_per_row']:.2f} -> {c['us_per_row']:.2f} "
           f"us/row  same files: {same_files}")
-    write_report(out, "Per-step cost of me and fast, trace CSV writing, and the perfbench "
-                      "--trace 0 results of all three workloads, for the parent and this change "
-                      "on one machine.",
+    write_report(out, __file__, sides,
+                 "Per-step cost of me and fast, trace CSV writing, and the perfbench "
+                 "--trace 0 results of all three workloads, for the parent and this change "
+                 "on one machine.",
                  {"steps": steps, "trace_write": {**writes, "same_files": same_files}}, perfbench)
 
 

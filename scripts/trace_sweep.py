@@ -143,9 +143,10 @@ def main(argv=None):
               f"{c['bytes_per_step']:.1f} B/step  write {write['parent'][m]['write_s']:.3f} -> "
               f"{write['change'][m]['write_s']:.3f} s")
     print(f"same trace bytes: {same_traces}")
-    write_report(out, "Traced benchmark cells of the parent and this change on one machine: peak "
-                      "RSS of the traced diag n=64 grid, bytes held per traced step, seconds of "
-                      "write_trace_csv, and perfbench --trace 0 pairs of all three workloads.",
+    write_report(out, __file__, sides,
+                 "Traced benchmark cells of the parent and this change on one machine: peak "
+                 "RSS of the traced diag n=64 grid, bytes held per traced step, seconds of "
+                 "write_trace_csv, and perfbench --trace 0 pairs of all three workloads.",
                  {"grid": {"instance": "diag n=64 seed 1", "methods": METHODS}, "vmhwm": vmhwm,
                   "held": held, "write": {**write, "same_traces": same_traces}},
                  perfbench)
