@@ -9,10 +9,11 @@ in one fresh Python process that imports the package from its ``src/`` (see
 ``pairing.py``).
 
 The grid is seven methods (me, grad, cg, bb-long, bb-short, fast,
-grad-wolfe) from x1 = 0 with the default options on nine instances: the diag
-family at n = 64, seeds 1-3, at n = 500, seed 1, and at n = 10^4, seed 1,
-capped at 5,000 steps; the rank-one ``dense`` family at n = 40, 100 and 400,
-seed 7, and at n = 1,000, seed 1.  grad-wolfe, the one solver that runs the
+grad-wolfe), each solved through ``ellipcenter.bench.METHODS``, from x1 = 0
+with the default options on nine instances: the diag family at n = 64,
+seeds 1-3, at n = 500, seed 1, and at n = 10^4, seed 1, capped at 5,000
+steps; the rank-one ``dense`` family at n = 40, 100 and 400, seed 7, and at
+n = 1,000, seed 1.  grad-wolfe, the one solver that runs the
 Wolfe search on every step, is capped at 2,000 steps on every instance.
 Every cell runs once without an observer and once with one, 126 cells in
 all.  A cell's result is its iterations, ``terminated_by``,
@@ -66,30 +67,17 @@ INSTANCES = [
     ("dense", 1_000, 1, None),
 ]
 # method -> its own step cap, or None
-METHODS = {"me": None, "grad": None, "cg": None, "bb-long": None, "bb-short": None,
+STEP_CAPS = {"me": None, "grad": None, "cg": None, "bb-long": None, "bb-short": None,
            "fast": None, "grad-wolfe": 2_000}
 
 # Runs in the fresh process: every cell of the grid, as a dict keyed by cell.
 GRID_PROBE = r"""
 import hashlib, json, sys
 import numpy as np
-from ellipcenter.baselines import (
-    BBVariant, bb_solve, cg_solve, fast_gradient_solve, gradient_optimal_step_solve,
-    gradient_wolfe_solve,
-)
+from ellipcenter.bench import METHODS
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
 from ellipcenter.quadratic import QuadraticProblem
-from ellipcenter.solver import SolveOptions, me_solve
-
-SOLVERS = {
-    "me": me_solve,
-    "grad": gradient_optimal_step_solve,
-    "cg": cg_solve,
-    "bb-long": lambda p, x, o: bb_solve(p, x, BBVariant(short_steps=False), o),
-    "bb-short": lambda p, x, o: bb_solve(p, x, BBVariant(short_steps=True), o),
-    "fast": fast_gradient_solve,
-    "grad-wolfe": gradient_wolfe_solve,
-}
+from ellipcenter.solver import SolveOptions
 
 
 class Counting:
@@ -122,7 +110,7 @@ def run(problem, method, cap, traced):
     if cap is not None:
         options = SolveOptions(max_iterations=cap, observer=observer)
     try:
-        r = SOLVERS[method](counted, np.zeros(problem.dim), options)
+        r = METHODS[method](counted, np.zeros(problem.dim), options)
     except Exception as exc:
         return {"raised": f"{type(exc).__name__}: {exc}", "matvecs": op.calls}
     out = {
@@ -197,7 +185,7 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="checkout to compare against")
     args = parser.parse_args(argv)
     parent_tree = os.path.abspath(args.parent)
-    grid = (json.dumps(INSTANCES), json.dumps(METHODS))
+    grid = (json.dumps(INSTANCES), json.dumps(STEP_CAPS))
     parent = python_probe(parent_tree, GRID_PROBE, *grid)
     change = python_probe(ROOT, GRID_PROBE, *grid)
     differ = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))

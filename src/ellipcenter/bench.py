@@ -76,6 +76,11 @@ class BenchConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; known: {list(METHODS)}")
+        # A repeated method would solve its cells again and overwrite their
+        # trace files.
+        repeated = list(dict.fromkeys(m for m in self.methods if self.methods.count(m) > 1))
+        if repeated:
+            raise ValueError(f"methods listed more than once: {repeated}")
         # Settings every solve would reject stop the run before any instance
         # is built.
         SolveOptions(self.epsilon, self.epsilon_mode, self.max_iterations)
@@ -128,7 +133,10 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     for position, instance in enumerate(cfg.instances):
         problem, meta = _materialize(instance)
         instances.append(meta)
-        x1 = np.zeros(problem.dim)
+        # The shared start x1 = 0 as a read-only view of one zero: no
+        # n-vector stays resident through the instance's cells (8 MB at
+        # n = 10^6), and a step that wrote into its start raises.
+        x1 = np.broadcast_to(0.0, problem.dim)
         for method in cfg.methods:
             # A traced cell's packed records, dropped once written.
             trace = _PackedTrace() if traced else None

@@ -141,10 +141,17 @@ def instance_metadata(spec: InstanceSpec | None, problem: QuadraticProblem) -> d
 
 
 def write_instance_metadata(path, records) -> None:
-    """Write one JSON object per line for each instance metadata dict."""
+    """Write one JSON object per line for each instance metadata dict.
+
+    Every line is strict JSON (RFC 8259): a number that is not finite, such
+    as the condition number of a file instance whose eigenvalue ratio
+    overflows, is written as null.
+    """
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            rec = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in rec.items()}
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 class ProblemFormatError(ValueError):

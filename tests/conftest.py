@@ -190,6 +190,16 @@ class IndefiniteOperator:
         return self.diag * v
 
 
+# The most n-vectors a solve holds at once, x1 not counted, at n = 2*10^5
+# over at most 60 steps from x1 = 0, on the diag and rank-one ("dense")
+# families.  Beside its inputs a step makes only the arrays it hands out
+# and the matvec outputs; me made 9 / 7, grad 7 / 7 and bb 6 / 6 while
+# their steps made scratch vectors as well.
+LIVE_VECTORS = {"me": (7, 5), "grad": (5, 5), "bb-long": (5, 5), "bb-short": (5, 5),
+                "cg": (7, 6), "fast": (7, 7)}
+LIVE_N = 200_000
+
+
 ACCEPTANCE_LINES = []
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CountingOperator, IndefiniteOperator, Steps
+from conftest import LIVE_N, LIVE_VECTORS, CountingOperator, IndefiniteOperator, Steps
 
 import ellipcenter.baselines as baselines
 from ellipcenter.baselines import (
@@ -582,16 +582,6 @@ def test_midpoint_step_leaves_its_inputs_intact():
     (x, g, _), = steps
     assert x is x1 and x1.tolist() == [1.0, 0.0] and g.tolist() == [1.0, 0.0]
     assert result.x_final.tolist() == [0.0, 0.0]
-
-
-# The most n-vectors a solve holds at once, x1 not counted, at n = 2*10^5
-# over at most 60 steps from x1 = 0, on the diag and rank-one ("dense")
-# families.  Beside its inputs a step makes only the arrays it hands out
-# and the matvec outputs; me made 9 / 7, grad 7 / 7 and bb 6 / 6 while
-# their steps made scratch vectors as well.
-LIVE_VECTORS = {"me": (7, 5), "grad": (5, 5), "bb-long": (5, 5), "bb-short": (5, 5),
-                "cg": (7, 6), "fast": (7, 7)}
-LIVE_N = 200_000
 
 
 @pytest.fixture(scope="module")

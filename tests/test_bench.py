@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import CountingOperator, SplitMix64
+from conftest import LIVE_N, LIVE_VECTORS, CountingOperator, SplitMix64
 
 import ellipcenter.bench as bench
 from ellipcenter.baselines import BBVariant
@@ -60,6 +60,11 @@ class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
             BenchConfig(instances=(dense_spec(4),), methods=("me", "newton"))
+
+    def test_repeated_method(self):
+        with pytest.raises(ValueError) as info:
+            BenchConfig(instances=(dense_spec(4),), methods=("me", "cg", "me"))
+        assert str(info.value) == "methods listed more than once: ['me']"
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -329,6 +334,20 @@ class TestRunBenchmark:
         assert walls[0] >= 0.2
         assert row.terminated_by == "gradient_tolerance"
         assert 0.0 <= row.cpu_time_seconds < 0.1
+
+
+def test_grid_holds_no_start_vector():
+    # The peak of a whole grid: the instance's v and b, and cg's live vectors
+    # on the rank-one family.  The shared start x1 = 0 adds no n-vector.
+    cfg = BenchConfig(instances=(dense_spec(LIVE_N),), methods=("cg",))
+    tracemalloc.start()
+    try:
+        report = run_benchmark(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows[0].terminated_by == "gradient_tolerance"
+    assert peak / (8 * LIVE_N) < 2 + LIVE_VECTORS["cg"][1] + 0.1
 
 
 def test_every_solve_goes_through_module_names(monkeypatch):

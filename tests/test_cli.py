@@ -35,6 +35,23 @@ def test_generated_instance_to_file(tmp_path):
     assert all(m["family"] == "dense" for m in metas)
 
 
+def test_instance_metadata_is_strict_json(tmp_path):
+    # The eigenvalue ratio 1e10 / 1e-300 overflows to inf, which strict
+    # JSON cannot hold.
+    problem = tmp_path / "wide.txt"
+    problem.write_text("diag 2\n1e-300 1e10\nb\n0 0\n")
+    out = tmp_path / "report.csv"
+    assert main(["--instance", f"file:{problem}", "--methods", "cg", "--out", str(out)]) == 0
+    assert read_csv(out)[0]["cond"] == "inf"
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    sidecar = tmp_path / "report.csv.instances.jsonl"
+    (meta,) = [json.loads(line, parse_constant=reject) for line in sidecar.read_text().splitlines()]
+    assert meta["condition_number"] is None
+
+
 def test_stdout_csv(capsys):
     code = main(["--instance", "dense", "--n", "15", "--methods", "cg"])
     assert code == 0
@@ -182,6 +199,19 @@ def test_bad_b_scale_stops_before_any_instance(value, monkeypatch):
     with pytest.raises(SystemExit) as info:
         main(["--instance", "diag", "--n", "8", "--b-scale", value])
     assert str(info.value) == "invalid configuration: b_scale must be positive and finite"
+
+
+def test_repeated_method_stops_before_any_instance(tmp_path, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("an instance was built before the methods were checked")
+
+    monkeypatch.setattr(bench, "generate", no_build)
+    traces = tmp_path / "traces"
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", "diag", "--n", "8", "--methods", "me,cg,me",
+              "--trace-dir", str(traces)])
+    assert str(info.value) == "invalid configuration: methods listed more than once: ['me']"
+    assert not traces.exists()
 
 
 def test_missing_problem_file_stops_before_any_solve(tmp_path, monkeypatch):

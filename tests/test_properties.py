@@ -271,6 +271,10 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
+def record_bits(record):
+    return tuple(bits(v) if isinstance(v, float) else v for v in record)
+
+
 @given(problems(), st.sampled_from(sorted(METHODS)))
 def test_observing_changes_nothing(case, method):
     p, x1 = case
@@ -282,6 +286,26 @@ def test_observing_changes_nothing(case, method):
     assert bits(observed.f_final) == bits(plain.f_final)
     assert bits(observed.grad_norm_final) == bits(plain.grad_norm_final)
     assert observed.x_final.tobytes() == plain.x_final.tobytes()
+
+
+@given(problems(), st.sampled_from(sorted(METHODS)))
+def test_zero_view_start_changes_nothing(case, method):
+    # run_benchmark starts every cell from a read-only view of one zero.
+    p, _ = case
+    runs = []
+    for x1 in (np.zeros(p.dim), np.broadcast_to(0.0, p.dim)):
+        steps = Steps()
+        runs.append((METHODS[method](p, x1, SolveOptions(max_iterations=200, observer=steps)),
+                     steps))
+    (owned, owned_steps), (view, view_steps) = runs
+    assert view.iterations == owned.iterations
+    assert view.terminated_by is owned.terminated_by
+    assert bits(view.f_final) == bits(owned.f_final)
+    assert bits(view.grad_norm_final) == bits(owned.grad_norm_final)
+    assert view.x_final.tobytes() == owned.x_final.tobytes()
+    assert [record_bits(r) for r in view_steps.records] == [
+        record_bits(r) for r in owned_steps.records
+    ]
 
 
 @given(problems(), st.sampled_from(sorted(METHODS)))

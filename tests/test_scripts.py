@@ -90,3 +90,13 @@ def test_every_public_helper_has_a_user():
                     and node.func.id != name)
     assert {"run_perfbench", "summary"} <= used
     assert [name for name in functions if not name.startswith("_") and name not in used] == []
+
+
+def test_grid_memory_probe_reads_the_peak(script, tmp_path):
+    sweep = script("grid_memory_sweep")
+    argv = ["--instance", "dense", "--n", "1000", "--methods", "me,cg",
+            "--out", str(tmp_path / "report.csv")]
+    run = script("pairing").python_probe(str(SCRIPTS.parent), sweep.HWM_PROBE, json.dumps(argv))
+    assert run["exit"] == 0
+    assert 0 < run["before_mb"] <= run["peak_mb"]
+    assert [row[0] for row in run["rows"]] == ["method", "me", "cg"]
