@@ -13,14 +13,13 @@ grad-wolfe), each solved through ``ellipcenter.bench.METHODS``, from x1 = 0
 with the default options on nine instances: the diag family at n = 64,
 seeds 1-3, at n = 500, seed 1, and at n = 10^4, seed 1, capped at 5,000
 steps; the rank-one ``dense`` family at n = 40, 100 and 400, seed 7, and at
-n = 1,000, seed 1.  grad-wolfe, the one solver that runs the
-Wolfe search on every step, is capped at 2,000 steps on every instance.
-Every cell runs once without an observer and once with one, 126 cells in
-all.  A cell's result is its iterations, ``terminated_by``,
-the bits of ``f_final`` and ``grad_norm_final``, a hash of the bytes of
-``x_final``, the matvecs it made and, when observed, a hash of every
-``StepRecord`` field in order.  A cell that raises records the exception's
-type and text instead.
+n = 1,000, seed 1.  grad-wolfe, the one solver that runs the Wolfe search
+on every step, is capped at 2,000 steps on every instance.  Every cell runs
+once without an observer and once with one, 126 cells in all.  A cell's
+result is its iterations, ``terminated_by``, the bits of ``f_final`` and
+``grad_norm_final``, a hash of the bytes of ``x_final``, the matvecs it
+made and, when observed, a hash of every ``StepRecord`` field in order.  A
+cell that raises records the exception's type and text instead.
 
 Each tree also runs the CLI on three grids, each in a fresh process::
 

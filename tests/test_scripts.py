@@ -1,6 +1,7 @@
 """The measurement scripts import, answer --help, and their probes name only
 what the package has; a report records each tree; every public helper of
-``pairing.py`` has a user.  No sweep is run."""
+``pairing.py`` has a user; the grid-memory probe reads a small grid's peak.
+No sweep is run."""
 
 import ast
 import importlib
