@@ -3,36 +3,29 @@
     python3 scripts/setup_sweep.py --parent PATH --out BENCH_N.json
 
 ``pairing.py`` says how the two trees are compared.  (``BENCH_7.json`` and
-``BENCH_13.json`` are earlier runs of this script, the first made before it
-measured the save; both hold perfbench medians per workload rather than
-``sweep_perfbench`` entries.)  The report gets four parts:
+``BENCH_13.json`` are earlier runs of this script, when it also read the
+peak RSS of a load and of a save; both hold perfbench medians per workload
+rather than ``sweep_perfbench`` entries.)  The report gets two parts:
 
 * ``setup``: seconds of ``generate`` and ``load_problem`` (of the file
   ``save_problem`` wrote) for the diag and dense (rank-one) families at
   n = 10^2 ... 10^6, the minimum of 3 runs in each of four alternating
   processes per tree, with a digest of every generated and loaded array,
-  so that bit-identical instances show as equal digests;
-* ``load_rss``: the peak RSS of a fresh process that loads the rank-one
-  n = 10^6 file, next to its RSS just before the load;
-* ``save_rss``: the peak RSS of a fresh process that generates the rank-one
-  n = 10^6 instance and saves it, next to its RSS just before the save
-  (which is the peak of ``generate``), and whether both trees wrote the same
-  bytes;
+  and of every file written, so that bit-identical instances show as equal
+  digests;
 * ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
   (``--seconds 20 --trace 0``): 3 of each workload at seed 1.  Cell lines
   must match across every run of both trees.
 
-The whole sweep takes about ten minutes on two cores.
+The whole sweep takes about eight minutes on two cores.
 """
 
 from __future__ import annotations
 
-import filecmp
 import json
-import os
 import tempfile
 
-from pairing import alternate, python_probe, sweep_perfbench, trees, write_report
+from pairing import alternate, sweep_perfbench, trees, write_report
 
 SIZES = [10**k for k in range(2, 7)]
 FAMILIES = ["diag", "dense"]
@@ -74,29 +67,6 @@ for n in sizes:
 print(json.dumps(rows))
 """
 
-# Runs in the fresh process: peak RSS of one load.
-RSS_PROBE = r"""
-import json, resource, sys
-from ellipcenter.generators import load_problem
-
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-load_problem(sys.argv[1])
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"before_load_mb": before, "peak_mb": after}))
-"""
-
-# Runs in the fresh process: peak RSS of generate, then of one save.
-SAVE_RSS_PROBE = r"""
-import json, resource, sys
-from ellipcenter.generators import InstanceFamily, InstanceSpec, generate, save_problem
-
-problem = generate(InstanceSpec(InstanceFamily.DENSE_RANK_ONE, 10**6, 1))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-save_problem(problem, sys.argv[1])
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"before_save_mb": before, "peak_mb": after}))
-"""
-
 
 def main(argv=None):
     sides, out = trees(__doc__, argv)
@@ -109,12 +79,6 @@ def main(argv=None):
                     row = dict(rows[0], **{key: min(r[key] for r in rows)
                                            for key in ("generate_s", "load_problem_s")})
                     setup.setdefault((family, row.pop("n")), {})[name] = row
-        rank1_file = os.path.join(work, "dense_1000000.txt")
-        load_rss = {name: python_probe(tree, RSS_PROBE, rank1_file) for name, tree in sides.items()}
-        saved = {name: os.path.join(work, f"save_{name}.txt") for name in sides}
-        save_rss = {name: python_probe(tree, SAVE_RSS_PROBE, saved[name])
-                    for name, tree in sides.items()}
-        save_rss["same_bytes"] = filecmp.cmp(saved["parent"], saved["change"], shallow=False)
     perfbench = sweep_perfbench(sides, PLAN)
 
     setup = [{"family": f, "n": n, **by_tree} for (f, n), by_tree in setup.items()]
@@ -123,22 +87,11 @@ def main(argv=None):
         print(f"{row['family']:5} n={row['n']:>7}  generate {p['generate_s']:.4f} -> "
               f"{c['generate_s']:.4f} s  load {p['load_problem_s']:.4f} -> {c['load_problem_s']:.4f} s"
               f"  same arrays: {p['generated'] == c['generated'] and p['loaded'] == c['loaded']}")
-    for name, rss in load_rss.items():
-        print(f"load peak RSS {name}: {rss['peak_mb']:.0f} MB ({rss['before_load_mb']:.0f} MB before)")
-    for name in sides:
-        rss = save_rss[name]
-        print(f"save peak RSS {name}: {rss['peak_mb']:.0f} MB ({rss['before_save_mb']:.0f} MB "
-              "before, the peak of generate)")
-    print(f"saved files identical: {save_rss['same_bytes']}")
     write_report(out, __file__, sides,
                  "Instance set-up (generate, save_problem, load_problem) of the parent and "
                  "this change on one machine, with the perfbench --trace 0 results of all "
                  "three workloads.",
-                 {"setup": setup,
-                  "load_rss": {"file": "rank1 n=1000000 seed 1, written by save_problem",
-                               **load_rss},
-                  "save_rss": {"instance": "rank1 n=1000000 seed 1", **save_rss}},
-                 perfbench)
+                 {"setup": setup}, perfbench)
 
 
 if __name__ == "__main__":

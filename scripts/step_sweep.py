@@ -2,25 +2,23 @@
 
     python3 scripts/step_sweep.py --parent PATH --out BENCH_N.json
 
-``pairing.py`` says how the two trees are compared.  The report gets three
+``pairing.py`` says how the two trees are compared.  The report gets two
 parts:
 
 * ``steps``: microseconds per step of ``me_solve`` and
   ``fast_gradient_solve`` on the diag family, seed 1, at n = 64 (20,000-step
   runs) and n = 10^4 (3,000-step runs), untraced and traced (an observer
-  that keeps every ``StepRecord``, as a traced benchmark cell does); the
-  minimum of 3 runs in each of four processes per tree, with the bits of
-  ``f_final`` and a digest of ``x_final``, which must match between the
-  trees;
-* ``trace_write``: microseconds per row of ``write_trace_csv`` on the
-  records of the two traced n = 64 runs (the same minimum), with a digest
-  of the files written;
+  that appends each ``StepRecord`` to a list; a traced benchmark cell packs
+  its records instead, so this is the cost of the observer call and the
+  record, not of a benchmark trace); the minimum of 3 runs in each of four
+  processes per tree, with the bits of ``f_final`` and a digest of
+  ``x_final``, which must match between the trees;
 * ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
   (``--seconds 20 --trace 0``): 10 of each workload at seed 1 and 4 of
   ``diag-64-tracedir`` at seed 5.  Cell lines must match across every run
   of both trees.
 
-The whole sweep takes about 40 minutes on two cores.
+The whole sweep takes about half an hour on two cores.
 """
 
 from __future__ import annotations
@@ -41,18 +39,17 @@ PERFBENCH = [
     ("rank1-1m", 1, 10),
 ]
 
-# Runs in the fresh process: times capped solves, then writes their traces.
+# Runs in the fresh process: times capped solves.
 STEP_PROBE = r"""
-import hashlib, json, math, os, sys, tempfile, time
+import hashlib, json, math, sys, time
 import numpy as np
 from ellipcenter.baselines import fast_gradient_solve
 from ellipcenter.generators import InstanceFamily, InstanceSpec, generate
-from ellipcenter import write_trace_csv
 from ellipcenter.solver import SolveOptions, me_solve
 
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 solvers = {"me": me_solve, "fast": fast_gradient_solve}
-steps, traces = [], []
+steps = []
 for n, cap in cases:
     problem = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, n, 1))
     x1 = np.zeros(n)
@@ -71,26 +68,8 @@ for n, cap in cases:
                           "us_per_step": 1e6 * best / result.iterations,
                           "f_final": float(result.f_final).hex(),
                           "x_final": hashlib.sha256(result.x_final.tobytes()).hexdigest()[:16]})
-            if traced and n == 64:
-                traces.append(records)
             del records
-
-rows = sum(len(r) for r in traces)
-best = math.inf
-with tempfile.TemporaryDirectory() as work:
-    paths = [os.path.join(work, f"trace{k}.csv") for k in range(len(traces))]
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for path, records in zip(paths, traces):
-            write_trace_csv(path, records)
-        best = min(best, time.perf_counter() - t0)
-    digest = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-write = {"rows": rows, "s": best, "us_per_row": 1e6 * best / rows,
-         "files": digest.hexdigest()[:16]}
-print(json.dumps({"steps": steps, "trace_write": write}))
+print(json.dumps({"steps": steps}))
 """
 
 
@@ -114,23 +93,16 @@ def main(argv=None):
             "parent_us": parent["us_per_step"], "change_us": change["us_per_step"],
             "same_result": all(parent[k] == change[k] for k in ("steps", "f_final", "x_final")),
         })
-    writes = {name: min((p["trace_write"] for p in probes[name]), key=lambda w: w["s"])
-              for name in sides}
-    same_files = writes["parent"]["files"] == writes["change"]["files"]
     perfbench = sweep_perfbench(sides, PERFBENCH)
 
     for row in steps:
         print(f"{row['method']:4} n={row['n']:>6} traced={row['traced']!s:5}  "
               f"{row['parent_us']:7.1f} -> {row['change_us']:7.1f} us/step  "
               f"same result: {row['same_result']}")
-    p, c = writes["parent"], writes["change"]
-    print(f"write_trace_csv {p['rows']} rows: {p['us_per_row']:.2f} -> {c['us_per_row']:.2f} "
-          f"us/row  same files: {same_files}")
     write_report(out, __file__, sides,
-                 "Per-step cost of me and fast, trace CSV writing, and the perfbench "
-                 "--trace 0 results of all three workloads, for the parent and this change "
-                 "on one machine.",
-                 {"steps": steps, "trace_write": {**writes, "same_files": same_files}}, perfbench)
+                 "Per-step cost of me and fast, and the perfbench --trace 0 results of all "
+                 "three workloads, for the parent and this change on one machine.",
+                 {"steps": steps}, perfbench)
 
 
 if __name__ == "__main__":

@@ -7,12 +7,15 @@ Example::
 
 Exit code 0 means every cell stopped at the gradient tolerance.  When --out
 is given, per-instance metadata is written next to it as JSON lines
-(<out>.instances.jsonl).
+(<out>.instances.jsonl).  A run that stops before its report is written
+leaves no new file behind.  Each cell that raised is named on stderr with
+its exception text.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (
@@ -113,12 +116,28 @@ def _build_instances(args):
 
 
 def _check_report_files(out):
-    # Opened for appending, so no existing report is truncated before the run.
+    # Opened for appending, so no existing report is truncated before the run;
+    # a file the check made is removed again, so a run that stops before its
+    # report leaves none behind.
     for path in (out, f"{out}.instances.jsonl"):
+        existed = os.path.exists(path)
         try:
             open(path, "a").close()
         except OSError as exc:
             raise SystemExit(f"report file {path}: {exc.strerror}")
+        if not existed:
+            os.remove(path)
+
+
+def _print_errors(report, methods):
+    # The reports omit BenchRow.error, so stderr is where a failed cell's
+    # reason shows.  Rows come in grid order, one per method of each instance.
+    for k, row in enumerate(report.rows):
+        if row.error is not None:
+            position = k // len(methods)
+            family = report.instances[position]["family"]
+            print(f"error: {row.method} on {family} n={row.n} (instance {position}): "
+                  f"{row.error}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -153,6 +172,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     else:
         write_instance_metadata(f"{args.out}.instances.jsonl", report.instances)
+    _print_errors(report, cfg.methods)
     return 0 if all_converged(report) else 1
 
 

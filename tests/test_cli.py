@@ -263,6 +263,42 @@ def test_report_file_check_keeps_an_existing_report(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         main(["--instance", "diag", "--n", "8", "--eps", "0", "--out", str(report)])
     assert report.read_text() == "earlier report\n"
+    assert not (tmp_path / "r.csv.instances.jsonl").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("argv, message", [
+    (["--instance", "diag", "--methods", "bogus"], "invalid configuration: unknown methods"),
+    (["--instance", "file:{tmp}/nope.txt"], "problem file"),
+], ids=["unknown method", "missing problem file"])
+def test_rejected_run_leaves_no_new_report_files(tmp_path, argv, message, existing):
+    report, sidecar = tmp_path / "r.csv", tmp_path / "r.csv.instances.jsonl"
+    if existing:
+        report.write_bytes(b"earlier report\n")
+        sidecar.write_bytes(b'{"earlier": 1}\n')
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit, match=message):
+        main([*argv, "--n", "8", "--out", str(report)])
+    if existing:
+        assert report.read_bytes() == b"earlier report\n"
+        assert sidecar.read_bytes() == b'{"earlier": 1}\n'
+    else:
+        assert not report.exists() and not sidecar.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_failed_cells_are_named_on_stderr(capsys):
+    code = main(["--instance", "diag", "--instance", "dense", "--n", "3", "--b-scale", "1e308",
+                 "--methods", "me,cg"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert [row["term"] for row in csv.DictReader(captured.out.splitlines())] == ["error"] * 4
+    assert "RuntimeError" not in captured.out
+    assert captured.err.splitlines() == [
+        f"error: {method} on {family} n=3 (instance {k}): "
+        f"RuntimeError: {method}: gradient norm is inf; aborting"
+        for k, family in enumerate(["diag", "dense"]) for method in ["me", "cg"]
+    ]
 
 
 def test_bad_n_rejected():
