@@ -13,6 +13,7 @@ import io
 import math
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,25 +139,27 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         # n = 10^6), and a step that wrote into its start raises.
         x1 = np.broadcast_to(0.0, problem.dim)
         for method in cfg.methods:
-            # A traced cell's packed records, dropped once written.
-            trace = _PackedTrace() if traced else None
-            cell_options = replace(options, observer=trace)
-            start = time.process_time()
-            try:
-                result = METHODS[method](problem, x1, cell_options)
-            except Exception as exc:  # record the cell, keep the grid going
-                error = f"{type(exc).__name__}: {exc}"
-                cpu_time, iterations, f_final, term = math.nan, 0, math.nan, "error"
-            else:
-                cpu_time = time.process_time() - start
-                error = None
-                iterations, f_final = result.iterations, result.f_final
-                term = result.terminated_by.value
-            if traced:
-                # The grid position keeps names apart when two instances
-                # share a family and size, such as two problem files.
-                name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
-                write_trace_csv(os.path.join(cfg.trace_dir, name), trace)
+            # A traced cell's steps: the pending batch in memory, the full
+            # ones in an unnamed file in the trace directory, closed with
+            # the cell however it ends.
+            with _PackedTrace(cfg.trace_dir) if traced else nullcontext() as trace:
+                cell_options = replace(options, observer=trace)
+                start = time.process_time()
+                try:
+                    result = METHODS[method](problem, x1, cell_options)
+                except Exception as exc:  # record the cell, keep the grid going
+                    error = f"{type(exc).__name__}: {exc}"
+                    cpu_time, iterations, f_final, term = math.nan, 0, math.nan, "error"
+                else:
+                    cpu_time = time.process_time() - start
+                    error = None
+                    iterations, f_final = result.iterations, result.f_final
+                    term = result.terminated_by.value
+                if traced:
+                    # The grid position keeps names apart when two instances
+                    # share a family and size, such as two problem files.
+                    name = f"{method}_{meta['family']}_{problem.dim}_{position}.csv"
+                    write_trace_csv(os.path.join(cfg.trace_dir, name), trace)
             rows.append(
                 BenchRow(
                     method=method,

@@ -1,9 +1,14 @@
 """The trace of a solve, one CSV row per step: ``_PackedTrace``, the observer
-a traced benchmark cell keeps its steps in, and ``write_trace_csv``."""
+a traced benchmark cell keeps its steps in, and ``write_trace_csv``.
+
+A ``_PackedTrace`` holds at most one batch of steps in memory; it appends
+each full batch, packed, to an unnamed file, so a traced cell's memory stays
+bounded whatever its step count."""
 
 from __future__ import annotations
 
 import struct
+import tempfile
 from functools import cache
 from itertools import chain, groupby, islice
 
@@ -22,8 +27,8 @@ _TRACE_HEADER = "iter,branch,f,grad_norm,t,delta,alpha,beta\r\n"
 # format, applied to a run of k rows at once as (format * k) % cells.
 _BRANCHES = (None, *Branch)
 # Rows per packed batch: a trace holds at most this many StepRecords before
-# it packs them, and the writer formats at most this many rows at a time,
-# so both hold about 100 KB beside the packed numbers.
+# it packs and spills them, and the writer formats at most this many rows at
+# a time, so each holds about 100 KB.
 _BATCH_ROWS = 256
 
 
@@ -74,30 +79,54 @@ class _PackedTrace:
     Each row keeps one code byte, which names its branch and its None
     fields, and its other numbers as doubles: 49 bytes a center step, 25 a
     midpoint step and 17 a baseline step, where a record takes about 190
-    (midpoint) to 250 (center).  Steps are packed ``_BATCH_ROWS`` at a
-    time.  ``len`` counts the steps seen, and ``write_trace_csv`` formats
-    the packed batches as they are.
+    (midpoint) to 250 (center).  Steps wait in memory until ``_BATCH_ROWS``
+    have come; the batch is then packed and appended to an unnamed
+    temporary file in ``directory`` (the system's default when None): its
+    code bytes, then its doubles.  So rows go to the disk the CSV goes to,
+    and memory holds one batch whatever the step count.  ``len`` counts the
+    steps seen, and ``write_trace_csv`` formats the packed batches as they
+    are read back.  The trace owns the file: close it, or use the trace as
+    a context manager.
     """
 
-    def __init__(self):
-        self._full = []  # packed (codes, values), _BATCH_ROWS rows each
+    def __init__(self, directory=None):
+        self._spill = tempfile.TemporaryFile(dir=directory)
+        self._spilled = 0  # rows in the file, _BATCH_ROWS a batch
         self._pending = []  # records not yet packed
 
     def __len__(self):
-        return _BATCH_ROWS * len(self._full) + len(self._pending)
+        return self._spilled + len(self._pending)
 
     def __call__(self, x, g, record):
         pending = self._pending
         pending.append(record)
         if len(pending) == _BATCH_ROWS:
-            self._full.append(_pack(pending))
+            codes, values = _pack(pending)
+            spill = self._spill
+            spill.seek(0, 2)  # packed() leaves the position where it stopped
+            spill.write(codes)
+            spill.write(values)
+            self._spilled += _BATCH_ROWS
             pending.clear()
 
     def packed(self):
         """The trace's batches in order, the pending records packed last."""
-        yield from self._full
+        spill = self._spill
+        spill.seek(0)
+        for _ in range(self._spilled // _BATCH_ROWS):
+            codes = spill.read(_BATCH_ROWS)
+            yield codes, spill.read(8 * sum(_layout(code)[0] for code in codes))
         if self._pending:
             yield _pack(self._pending)
+
+    def close(self):
+        self._spill.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _batches(records):
@@ -136,9 +165,9 @@ def write_trace_csv(path, records) -> None:
     Each row reports the state at the start of that iteration; fields a
     record leaves None stay blank.  ``records`` is any iterable of records,
     read and packed 256 at a time, or the packed trace a traced benchmark
-    cell keeps, formatted as it is.  Each run of rows with the same branch
-    and the same None fields in a batch is formatted with one ``%``, so no
-    copy of the whole file is held.
+    cell keeps, read back a batch at a time.  Each run of rows with the same
+    branch and the same None fields in a batch is formatted with one ``%``,
+    so no copy of the whole file is held.
     """
     with open(path, "w", newline="") as fh:
         fh.writelines(_trace_text(records))

@@ -23,7 +23,7 @@ from ellipcenter.bench import (
 from ellipcenter.generators import InstanceFamily, InstanceSpec, save_problem
 from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
 from ellipcenter.solver import EpsilonMode, SolveOptions
-from ellipcenter.trace import _BATCH_ROWS
+from ellipcenter.trace import _BATCH_ROWS, _PackedTrace
 
 
 def diag_spec(n, seed=1, **kw):
@@ -200,10 +200,11 @@ class TestRunBenchmark:
             run_benchmark(cfg)
         assert made.is_dir()
 
-    @pytest.mark.parametrize("steps", [0, 3, _BATCH_ROWS + 5])
+    @pytest.mark.parametrize("steps", [0, 3, _BATCH_ROWS + 5, 2 * _BATCH_ROWS + 5])
     def test_error_cell_keeps_its_trace(self, tmp_path, monkeypatch, steps):
         # A solve that raises after `steps` observed steps leaves a trace of
-        # those rows, the header alone when it raised before its first step.
+        # those rows, the header alone when it raised before its first step:
+        # past a batch, the rows spilled to the file and the pending ones.
         real_fast = bench.fast_gradient_solve
 
         def failing_fast(problem, x1, options):
@@ -244,12 +245,13 @@ class TestRunBenchmark:
             ]
 
     def test_traced_cell_holds_packed_steps(self, tmp_path):
-        # A traced cell keeps its steps until it writes them.  Packed, a
-        # center step holds 49 bytes of numbers and code; a StepRecord of
-        # Python floats held about 250.
-        def peak(trace_dir):
+        # A traced cell keeps only its pending batch in memory and spills
+        # the full ones to a file, so what it holds beside an untraced cell
+        # does not grow with its steps.  Held, packed steps took 49 bytes a
+        # center step: 1 MB at 20,000 steps and 2 MB at 40,000.
+        def peak(steps, trace_dir):
             cfg = BenchConfig(instances=(diag_spec(64),), methods=("me",),
-                              max_iterations=20_000, trace_dir=trace_dir)
+                              max_iterations=steps, trace_dir=trace_dir)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -258,10 +260,46 @@ class TestRunBenchmark:
             finally:
                 tracemalloc.stop()
 
-        untraced, steps = peak(None)
-        traced, traced_steps = peak(str(tmp_path))
-        assert steps == traced_steps == 20_000
-        assert traced - untraced < 64 * steps
+        for steps in (20_000, 40_000):
+            untraced, untraced_steps = peak(steps, None)
+            traced, traced_steps = peak(steps, str(tmp_path))
+            assert untraced_steps == traced_steps == steps
+            assert traced - untraced < 256 * 1024
+
+    def test_cells_close_their_spill_files(self, tmp_path, monkeypatch):
+        # Each traced cell opens its spill file in the trace directory and
+        # closes it when the cell ends: after its write, after a solve that
+        # raised, and when the write itself raises.
+        traces = []
+
+        class Recorded(_PackedTrace):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.directory = directory
+                traces.append(self)
+
+        def failing_cg(problem, x1, options):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(bench, "_PackedTrace", Recorded)
+        monkeypatch.setattr(bench, "cg_solve", failing_cg)
+        cfg = BenchConfig(instances=(diag_spec(20),), methods=("me", "cg"),
+                          max_iterations=600, trace_dir=str(tmp_path))
+        assert [row.terminated_by for row in run_benchmark(cfg).rows] == ["max_iterations",
+                                                                          "error"]
+        assert [t.directory for t in traces] == [str(tmp_path)] * 2
+        assert all(t._spill.closed for t in traces)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cg_diag_20_0.csv",
+                                                               "me_diag_20_0.csv"]
+
+        def failing_write(path, trace):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bench, "write_trace_csv", failing_write)
+        traces.clear()
+        with pytest.raises(OSError, match="disk full"):
+            run_benchmark(cfg)
+        assert len(traces) == 1 and traces[0]._spill.closed
 
     def test_trace_names_unique_per_cell(self, tmp_path):
         # Two files of one size, and a diag and a dense instance of one size

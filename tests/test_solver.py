@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -575,17 +576,22 @@ def test_any_trace_rows_match_csv_writer(tmp_path_factory, records):
     assert_trace_matches_reference(tmp_path_factory.getbasetemp(), records)
 
 
+@contextmanager
 def packed_trace(records):
-    trace = _PackedTrace()
-    for record in records:
-        trace(None, None, record)
-    return trace
+    # A _PackedTrace that has observed the records, closed on leaving.
+    with _PackedTrace() as trace:
+        for record in records:
+            trace(None, None, record)
+        yield trace
 
 
 def assert_packed_round_trip(directory, records):
-    trace = packed_trace(records)
-    assert len(trace) == len(records)
-    assert_trace_matches_reference(directory, records, trace)
+    with packed_trace(records) as trace:
+        assert len(trace) == len(records)
+        assert_trace_matches_reference(directory, records, trace)
+        # The spilled batches read back again: a trace can be written twice.
+        write_trace_csv(directory / "again.csv", trace)
+        assert (directory / "again.csv").read_bytes() == (directory / "ref.csv").read_bytes()
     # Any other iterable is packed batch by batch as it is read.
     write_trace_csv(directory / "iter.csv", iter(records))
     assert (directory / "iter.csv").read_bytes() == (directory / "ref.csv").read_bytes()
@@ -621,16 +627,18 @@ def test_packed_trace_batch_edges(tmp_path):
 
 
 def test_packed_midpoint_rows_are_small():
-    # A midpoint row keeps its code byte and f, grad_norm and t: 25 bytes a
-    # row beside the batch objects, where its StepRecord held about 186.
-    rows = 20_000
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        trace = packed_trace(StepRecord(i / 7, 1.0 + i, Branch.MIDPOINT, t=2.0 * i)
-                             for i in range(rows))
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert len(trace) == rows
-    assert held < 32 * rows
+    # A midpoint row spills its code byte and f, grad_norm and t: 25 bytes a
+    # row, where its StepRecord held about 186.  Memory keeps the rows of
+    # the batch not yet full, whatever the row count.
+    for rows in (20_000, 40_000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with packed_trace(StepRecord(i / 7, 1.0 + i, Branch.MIDPOINT, t=2.0 * i)
+                              for i in range(rows)) as trace:
+                held = tracemalloc.get_traced_memory()[0] - base
+                assert len(trace) == rows
+                assert trace._spill.seek(0, os.SEEK_END) == 25 * (rows - rows % _BATCH_ROWS)
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
