@@ -123,7 +123,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     with terminated_by = "error" and its exception text in ``error``, and
     the harness moves on.  With ``trace_dir``, the directory is made before
     the first instance is built, and every cell writes its trace, a failing
-    one the steps it reached.
+    one the steps it reached.  A traced cell keeps one batch of steps in
+    memory and the rest in an unnamed file in the directory, which it closes
+    when it ends.
     """
     options = SolveOptions(cfg.epsilon, cfg.epsilon_mode, cfg.max_iterations)
     traced = cfg.trace_dir is not None
