@@ -7,14 +7,15 @@ the change.  Every measurement runs in a fresh Python process that imports
 the package from one tree's ``src/``, and the two trees ("parent" and
 "change") alternate, so both see the same machine at about the same time.
 The report is one JSON file: ``what`` it measures, the ``environment``, the
-sweep's own parts, and its ``perfbench`` entries.  The environment holds the
-cores, Python version and machine, the sweep script's file name, and per tree
-its path, ``git rev-parse HEAD``, whether ``git status --porcelain`` listed
-anything (both null off a git checkout) and the numpy it imports: check out
-each HEAD and run the script to rerun the report.  An entry holds, per tree,
-the medians and quartiles of every end-to-end metric over its runs, the pairs
-the change won on each, and each run's result, cell lines and perfbench's own
-``environment`` line (numpy, BLAS and caches).
+sweep's own parts, and its ``perfbench`` entries, the pairs of ``PLAN`` that
+every sweep runs.  The environment holds the cores, Python version and
+machine, the sweep script's file name, and per tree its path, ``git rev-parse
+HEAD``, whether ``git status --porcelain`` listed anything (both null off a
+git checkout) and the numpy it imports: check out each HEAD and run the script
+to rerun the report.  An entry holds, per tree, the medians and quartiles of
+every end-to-end metric over its runs, the pairs the change won on each, and
+each run's result, cell lines and perfbench's own ``environment`` line (numpy,
+BLAS and caches).
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# (workload, seed, pairs) of every sweep's perfbench entries; seed 5 of
+# diag-64-tracedir is a seed no change was tuned on.
+PLAN = [("diag-10k", 1, 10), ("diag-64-tracedir", 1, 10), ("diag-64-tracedir", 5, 4),
+        ("rank1-1m", 1, 10)]
 
 # Runs in the fresh process: the numpy a tree's measurements import.
 NUMPY_PROBE = r"""
@@ -59,10 +64,10 @@ def trees(doc, argv=None):
     return {"parent": parent, "change": ROOT}, args.out
 
 
-def python_probe(tree, code, *args, env=None):
+def python_probe(tree, code, *args):
     """Run ``code`` in a fresh process on ``tree``'s package and return the
-    JSON object it prints.  ``env`` adds variables to its environment."""
-    env = dict(os.environ, **(env or {}), PYTHONPATH=os.path.join(tree, "src"))
+    JSON object it prints."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
@@ -107,19 +112,19 @@ def summary(runs):
     return out
 
 
-def sweep_perfbench(trees, plan, same=lambda cell: cell):
-    """Run perfbench pairs for each ``(workload, seed, pairs)`` of ``plan``,
-    alternating which tree goes first.  ``same(cell)`` is the part of a cell
-    line that must match across every run of both trees."""
+def sweep_perfbench(trees):
+    """Run perfbench pairs for each ``(workload, seed, pairs)`` of ``PLAN``,
+    alternating which tree goes first.  Cell lines must match across every
+    run of both trees."""
     entries = []
-    for workload, seed, pairs in plan:
+    for workload, seed, pairs in PLAN:
         runs = {"parent": [], "change": []}
         for k in range(pairs):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for name in order:
                 runs[name].append(run_perfbench(trees[name], workload, seed))
         parent, change = summary(runs["parent"]), summary(runs["change"])
-        first = [same(cell) for cell in runs["parent"][0]["cells"]]
+        first = runs["parent"][0]["cells"]
         entries.append({
             "workload": workload,
             "seed": seed,
@@ -137,8 +142,7 @@ def sweep_perfbench(trees, plan, same=lambda cell: cell):
             },
             "all_correct": all(r["correct"] and r["failed"] == 0
                                for r in runs["parent"] + runs["change"]),
-            "cells_match": all([same(cell) for cell in r["cells"]] == first
-                               for r in runs["parent"] + runs["change"]),
+            "cells_match": all(r["cells"] == first for r in runs["parent"] + runs["change"]),
             "runs": runs,
         })
     return entries

@@ -13,11 +13,10 @@ rather than ``sweep_perfbench`` entries.)  The report gets two parts:
   processes per tree, with a digest of every generated and loaded array,
   and of every file written, so that bit-identical instances show as equal
   digests;
-* ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
-  (``--seconds 20 --trace 0``): 3 of each workload at seed 1.  Cell lines
-  must match across every run of both trees.
+* ``perfbench``: the pairs of ``pairing.PLAN`` (``--seconds 20 --trace
+  0``), about 26 minutes.
 
-The whole sweep takes about eight minutes on two cores.
+The whole sweep takes about 27 minutes on two cores.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ SIZES = [10**k for k in range(2, 7)]
 FAMILIES = ["diag", "dense"]
 REPEATS = 3  # set-up timings per step in one process
 ROUNDS = 4  # processes per tree, alternating; the fastest timing of all is kept
-PLAN = [("diag-10k", 1, 3), ("diag-64-tracedir", 1, 3), ("rank1-1m", 1, 3)]
 
 # Runs in the fresh process: times one family over all sizes.
 SETUP_PROBE = r"""
@@ -79,7 +77,7 @@ def main(argv=None):
                     row = dict(rows[0], **{key: min(r[key] for r in rows)
                                            for key in ("generate_s", "load_problem_s")})
                     setup.setdefault((family, row.pop("n")), {})[name] = row
-    perfbench = sweep_perfbench(sides, PLAN)
+    perfbench = sweep_perfbench(sides)
 
     setup = [{"family": f, "n": n, **by_tree} for (f, n), by_tree in setup.items()]
     for row in setup:

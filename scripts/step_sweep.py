@@ -13,10 +13,8 @@ parts:
   record, not of a benchmark trace); the minimum of 3 runs in each of four
   processes per tree, with the bits of ``f_final`` and a digest of
   ``x_final``, which must match between the trees;
-* ``perfbench``: ``scripts/pairing.py``'s ``sweep_perfbench`` pairs
-  (``--seconds 20 --trace 0``): 10 of each workload at seed 1 and 4 of
-  ``diag-64-tracedir`` at seed 5.  Cell lines must match across every run
-  of both trees.
+* ``perfbench``: the pairs of ``pairing.PLAN`` (``--seconds 20 --trace
+  0``), about 26 minutes.
 
 The whole sweep takes about half an hour on two cores.
 """
@@ -30,14 +28,6 @@ from pairing import alternate, sweep_perfbench, trees, write_report
 STEP_CASES = [(64, 20_000), (10_000, 3_000)]  # (n, steps per run)
 REPEATS = 3  # runs per timing in one process
 PROBE_ROUNDS = 4  # processes per tree, alternating; the fastest of all is kept
-# (workload, seed, pairs); seed 5 of diag-64-tracedir is a seed the change
-# was not tuned on.
-PERFBENCH = [
-    ("diag-10k", 1, 10),
-    ("diag-64-tracedir", 1, 10),
-    ("diag-64-tracedir", 5, 4),
-    ("rank1-1m", 1, 10),
-]
 
 # Runs in the fresh process: times capped solves.
 STEP_PROBE = r"""
@@ -93,7 +83,7 @@ def main(argv=None):
             "parent_us": parent["us_per_step"], "change_us": change["us_per_step"],
             "same_result": all(parent[k] == change[k] for k in ("steps", "f_final", "x_final")),
         })
-    perfbench = sweep_perfbench(sides, PERFBENCH)
+    perfbench = sweep_perfbench(sides)
 
     for row in steps:
         print(f"{row['method']:4} n={row['n']:>6} traced={row['traced']!s:5}  "

@@ -222,8 +222,8 @@ class _Cursor:
         """The next tokens as floats, as many as an array of ``shape`` holds,
         each piece's share converted in bulk, in an owned, read-only array of
         that shape that the operators and problem keep.  A section with more
-        entries than a file of ``size`` bytes can hold is refused before its
-        array is made."""
+        entries than a file of ``size`` bytes can hold, or than memory holds,
+        is refused before its array is filled."""
         count = math.prod(shape)
         # Tokens are whitespace-separated, so each but the last takes two bytes.
         if self._size is not None and count > (self._size + 1) // 2:
@@ -231,7 +231,13 @@ class _Cursor:
                 f"line {self.last_line}: expected {count} entries in the {section} "
                 f"section, more than a file of {self._size} bytes holds"
             )
-        array = np.empty(shape)
+        try:
+            array = np.empty(shape)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+            raise ProblemFormatError(
+                f"line {self.last_line}: expected {count} entries in the {section} "
+                "section, more than memory holds"
+            ) from None
         values = array.reshape(-1)  # a view: filling it fills array
         done = 0
         while done < count:
@@ -274,7 +280,9 @@ def load_problem(path) -> QuadraticProblem:
     reported as a ``ProblemFormatError`` with a line number and ``filename``
     set to path.  A header that asks for more entries than a regular file's
     size allows is reported before any array is made; from a file that is not
-    regular, such as a pipe, the arrays are made at the header's size.
+    regular, such as a pipe, the arrays are made at the header's size, and a
+    size whose array cannot be allocated is reported at the line that opens
+    its section.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         st = os.fstat(fh.fileno())

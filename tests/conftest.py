@@ -1,8 +1,10 @@
 import csv
 import math
+import os
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 # Property tests draw the same examples on every run, and keep no example
@@ -40,6 +42,24 @@ class SplitMix64:
 
     def ints(self, lo: int, hi: int, n: int) -> np.ndarray:
         return np.array([self.next_int(lo, hi) for _ in range(n)], dtype=np.int64)
+
+
+@pytest.fixture
+def pipe_file():
+    """Put text into a pipe and return the ``/dev/fd`` path that reads it:
+    a problem file that is not regular, so it has no size."""
+    ends = []
+
+    def make(text):
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for fd in ends:
+        os.close(fd)
 
 
 def splitmix_instance(spec):

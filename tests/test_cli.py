@@ -163,6 +163,16 @@ def test_oversized_header_names_file(tmp_path, text, message):
     assert str(info.value) == f"problem file {bad}: {message}"
 
 
+def test_huge_header_from_a_pipe_names_file(pipe_file):
+    path = pipe_file("diag 100000000000\n1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["--instance", f"file:{path}", "--methods", "me"])
+    section = "expected 100000000000 entries in the diagonal section"
+    # The second where memory is overcommitted, so the array is made.
+    assert str(info.value) in (f"problem file {path}: line 1: {section}, more than memory holds",
+                               f"problem file {path}: line 2: {section}, found 1")
+
+
 def test_undecodable_problem_file_names_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"diag 2\n1 \xff\nb\n0 0\n")

@@ -407,6 +407,38 @@ class TestLoadProblem:
         np.testing.assert_array_equal(q.b, p.b)
 
 
+class TestLoadProblemFromPipe:
+    """A pipe has no size, so a header's count is checked only against what
+    memory holds."""
+
+    def test_good_file_loads(self, pipe_file):
+        p = load_problem(pipe_file("diag 2\n1 4\nb\n0 5\n"))
+        np.testing.assert_array_equal(p.A.diag, [1.0, 4.0])
+        np.testing.assert_array_equal(p.b, [0.0, 5.0])
+
+    def test_short_file_reports_its_line(self, pipe_file):
+        path = pipe_file("diag 3\n1 4 5\nb\n0 5\n")
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(path)
+        assert info.value.filename == path
+        assert str(info.value) == "line 4: expected 3 entries in the b section, found 2"
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [
+            # Where memory is overcommitted this array is made and the
+            # section runs short instead; either error names the section.
+            (10**11, "diagonal section"),
+            # past numpy's largest array on any machine
+            (10**20, "^line 1: expected 100000000000000000000 entries in the diagonal "
+                     "section, more than memory holds$"),
+        ],
+    )
+    def test_huge_header_is_a_format_error(self, pipe_file, n, match):
+        with pytest.raises(ProblemFormatError, match=match):
+            load_problem(pipe_file(f"diag {n}\n1\n"))
+
+
 PIECE_SIZES = (1, 2, 7)
 
 
