@@ -1,16 +1,41 @@
 import csv
 import math
 import os
+import tempfile
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from ellipcenter.quadratic import DiagonalOperator, QuadraticProblem
+
 # Property tests draw the same examples on every run, and keep no example
 # database, so the suite stays deterministic.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+@contextmanager
+def scratch():
+    """A new directory for one property example, deleted when it ends: on
+    some file systems, rewriting a file moments after its blocks were written
+    out stalls for tens of milliseconds, where a new file costs microseconds."""
+    with tempfile.TemporaryDirectory() as directory:
+        yield Path(directory)
+
+
+def diag_problem(entries, b=None, c=0.0):
+    entries = np.asarray(entries, dtype=float)
+    if b is None:
+        b = np.zeros(len(entries))
+    return QuadraticProblem(DiagonalOperator(entries), b, c)
+
+
+def bits(value):
+    return np.float64(value).tobytes()
 
 
 class SplitMix64:

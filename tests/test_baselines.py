@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import LIVE_N, LIVE_VECTORS, CountingOperator, IndefiniteOperator, Steps
+from conftest import (LIVE_N, LIVE_VECTORS, CountingOperator, IndefiniteOperator, Steps,
+                      diag_problem)
 
 import ellipcenter.baselines as baselines
 from ellipcenter.baselines import (
@@ -33,13 +34,6 @@ from ellipcenter.solver import (
     Termination,
     me_solve,
 )
-
-
-def diag_problem(entries, b=None):
-    entries = np.asarray(entries, dtype=float)
-    if b is None:
-        b = np.zeros(len(entries))
-    return QuadraticProblem(DiagonalOperator(entries), b)
 
 
 def bb_long_solve(problem, x1, options=SolveOptions()):

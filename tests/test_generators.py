@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import SplitMix64, reference_save_problem, splitmix_instance
+from conftest import SplitMix64, reference_save_problem, scratch, splitmix_instance
 
 import ellipcenter.generators as generators
 from ellipcenter.generators import (
@@ -499,19 +499,17 @@ def _entries(problem):
 
 @pytest.mark.parametrize("size", [*PIECE_SIZES, None], ids=[*map(str, PIECE_SIZES), "default"])
 @given(problem=problems())
-def test_sliced_file_round_trip(tmp_path_factory, size, problem):
+def test_sliced_file_round_trip(size, problem):
     # The sliced writer gives the whole-line writer's bytes, and the pieced
     # reader gives back the very bits.
-    work = tmp_path_factory.getbasetemp() / f"round-{size}"
-    work.mkdir(exist_ok=True)
-    with pytest.MonkeyPatch.context() as mp:
+    with scratch() as work, pytest.MonkeyPatch.context() as mp:
         if size is not None:
             mp.setattr(generators, "_PIECE_CHARS", size)
             mp.setattr(generators, "_SLICE_VALUES", size)
         save_problem(problem, work / "saved.txt")
         loaded = load_problem(work / "saved.txt")
-    reference_save_problem(problem, work / "reference.txt")
-    assert (work / "saved.txt").read_bytes() == (work / "reference.txt").read_bytes()
+        reference_save_problem(problem, work / "reference.txt")
+        assert (work / "saved.txt").read_bytes() == (work / "reference.txt").read_bytes()
     assert type(loaded.A) is type(problem.A)
     assert _entries(loaded).tobytes() == _entries(problem).tobytes()
     assert loaded.b.tobytes() == problem.b.tobytes()

@@ -16,6 +16,7 @@ from conftest import (
     WOLFE_M2,
     WOLFE_MAX_TRIALS,
     Steps,
+    bits,
     reference_line_oracle,
     reference_wolfe_search,
     splitmix_instance,
@@ -137,6 +138,40 @@ def test_center_is_two_cg_steps(case):
     err = np.linalg.norm(rec.x_next - x_star)
     assume(err >= 1e-2 * np.linalg.norm(x - x_star))
     assert np.linalg.norm(rec.x_next - cg_two_steps(p, x)) <= 1e-10 * err
+
+
+@given(problems(min_n=2))
+def test_center_step_meets_two_step_chebyshev_bound(case):
+    # As two cg steps, the center minimizes the energy error
+    # E(w) = 1/2 (w - x*)^T A (w - x*) over x + span{g, Ag}, so it is no
+    # worse than the shifted Chebyshev polynomial of degree 2 on
+    # [lambda_min, lambda_max]: E(x_next) <= E(x) / T2(z)^2, with
+    # z = (kappa + 1) / (kappa - 1) and T2(z) = 2 z^2 - 1 (Saad 2003, 6.11).
+    # This rate is why me needs far fewer steps than grad.
+    p, x = case
+    assume(np.any(p.gradient(x) != 0.0))
+    rec = me_iterate(p, x, grad_tolerance=0.0)
+    assume(rec.branch is Branch.ELLIPSE_CENTER)
+    x_star, _ = reference_minimum(p)
+
+    def energy(w):
+        return 0.5 * p.a_inner(w - x_star, w - x_star)
+
+    bounds = p.A.eigen_bounds()
+    kappa = bounds.lambda_max / bounds.lambda_min
+    if kappa == 1.0:
+        rate = 0.0  # T2(z) is infinite: one step lands on x*
+    else:
+        z = (kappa + 1.0) / (kappa - 1.0)
+        rate = 1.0 / (2.0 * z * z - 1.0) ** 2
+    # The center solves the Gram system of g_x and g_y to about
+    # u = eps m11 m22 / delta of its size, so the ratio may pass the rate by
+    # about u^2: by up to 1.4e-9 where g_y is near parallel to g_x.  Of
+    # 20,000 drawn problems, the worst with a normal (not subnormal) delta
+    # passed it by 2.9 u^2.
+    m11, m22 = p.a_inner(rec.g_x, rec.g_x), p.a_inner(rec.g_y, rec.g_y)
+    u = np.finfo(float).eps * m11 * m22 / rec.delta
+    assert energy(rec.x_next) / energy(x) <= rate + 16.0 * u * u
 
 
 # b keeps at least this share of its norm in each eigenspace below.  With
@@ -265,10 +300,6 @@ def test_line_model_search_matches_point_search(case):
     slack = 1e-12 * (value_scale(p, x) + value_scale(p, z))
     assert p.value(z) <= p.value(x) + _WOLFE_M1 * t * slope0 + slack
     assert -g.dot(p.gradient(z)) >= _WOLFE_M2 * slope0 - gradient_rounding(p, g, z)
-
-
-def bits(value):
-    return np.float64(value).tobytes()
 
 
 def record_bits(record):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import bits
+
 from ellipcenter.quadratic import (
     _BLAS_DOT_MAX,
     DenseOperator,
@@ -283,10 +285,6 @@ def test_block_symmetry_check_agrees_with_allclose():
         for rows in (1, 3, 64):
             assert _is_symmetric(m, rows) is expected
     assert verdicts == {True, False}
-
-
-def bits(value):
-    return np.float64(value).tobytes()
 
 
 class TestDot:

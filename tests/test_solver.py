@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingOperator, IndefiniteOperator, Steps, reference_trace_csv
+from conftest import (CountingOperator, IndefiniteOperator, Steps, diag_problem,
+                      reference_trace_csv, scratch)
 
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -43,13 +44,6 @@ from ellipcenter.trace import _BATCH_ROWS, _PackedTrace, write_trace_csv
 # Worst relative drift ||g - (A x - b)|| / ||A x - b|| the refreshed
 # recurrence may show between a carried gradient and the true one.
 DRIFT_BOUND = 1e-7
-
-
-def diag_problem(entries, b=None, c=0.0):
-    entries = np.asarray(entries, dtype=float)
-    if b is None:
-        b = np.zeros(len(entries))
-    return QuadraticProblem(DiagonalOperator(entries), b, c)
 
 
 def random_problem(rng, n):
@@ -527,15 +521,17 @@ def test_trace_csv_round_trip(tmp_path):
 AWKWARD = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0, -2.5)
 
 
-def assert_trace_matches_reference(directory, records, written=None):
-    # The library's CSV of ``written`` (by default the records themselves)
-    # against csv.writer's of the records.
-    write_trace_csv(directory / "lib.csv", records if written is None else written)
-    reference_trace_csv(directory / "ref.csv", records)
-    assert (directory / "lib.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+def assert_trace_matches_reference(records, *written):
+    # The library's CSV of each of ``written`` (by default the records
+    # themselves) against csv.writer's of the records, in a new directory.
+    with scratch() as directory:
+        reference_trace_csv(directory / "ref.csv", records)
+        for i, rows in enumerate(written or [records]):
+            write_trace_csv(directory / f"lib{i}.csv", rows)
+            assert (directory / f"lib{i}.csv").read_bytes() == (directory / "ref.csv").read_bytes()
 
 
-def test_trace_csv_matches_csv_writer(tmp_path):
+def test_trace_csv_matches_csv_writer():
     records = []
     for v in AWKWARD:
         records += [
@@ -553,8 +549,8 @@ def test_trace_csv_matches_csv_writer(tmp_path):
         records += steps.records
     kinds = {(r.branch, r.delta is None) for r in records}
     assert {(None, True), (Branch.ELLIPSE_CENTER, False), (Branch.MIDPOINT, True)} <= kinds
-    assert_trace_matches_reference(tmp_path, records)
-    assert_trace_matches_reference(tmp_path, [])
+    assert_trace_matches_reference(records)
+    assert_trace_matches_reference([])
 
 
 def maybe(strategy):
@@ -572,8 +568,8 @@ step_records = st.one_of(
 
 
 @given(st.lists(step_records, max_size=8))
-def test_any_trace_rows_match_csv_writer(tmp_path_factory, records):
-    assert_trace_matches_reference(tmp_path_factory.getbasetemp(), records)
+def test_any_trace_rows_match_csv_writer(records):
+    assert_trace_matches_reference(records)
 
 
 @contextmanager
@@ -585,26 +581,22 @@ def packed_trace(records):
         yield trace
 
 
-def assert_packed_round_trip(directory, records):
+def assert_packed_round_trip(records):
+    # The spilled batches read back again, so a trace can be written twice.
+    # Any other iterable is packed batch by batch as it is read.
     with packed_trace(records) as trace:
         assert len(trace) == len(records)
-        assert_trace_matches_reference(directory, records, trace)
-        # The spilled batches read back again: a trace can be written twice.
-        write_trace_csv(directory / "again.csv", trace)
-        assert (directory / "again.csv").read_bytes() == (directory / "ref.csv").read_bytes()
-    # Any other iterable is packed batch by batch as it is read.
-    write_trace_csv(directory / "iter.csv", iter(records))
-    assert (directory / "iter.csv").read_bytes() == (directory / "ref.csv").read_bytes()
+        assert_trace_matches_reference(records, trace, trace, iter(records))
 
 
 @pytest.mark.parametrize("batch_rows", [1, 3, _BATCH_ROWS])
 @given(records=st.lists(step_records, max_size=12))
-def test_packed_trace_round_trip(tmp_path_factory, batch_rows, records):
+def test_packed_trace_round_trip(batch_rows, records):
     with mock.patch.object(trace_module, "_BATCH_ROWS", batch_rows):
-        assert_packed_round_trip(tmp_path_factory.getbasetemp(), records)
+        assert_packed_round_trip(records)
 
 
-def test_packed_trace_batch_edges(tmp_path):
+def test_packed_trace_batch_edges():
     kinds = {
         "center": lambda i: StepRecord(i / 7, 2.0 ** -i, Branch.ELLIPSE_CENTER, 3.0 * i,
                                        -0.0, math.nan, -i / 3),
@@ -616,14 +608,14 @@ def test_packed_trace_batch_edges(tmp_path):
     for length in (0, 1, _BATCH_ROWS - 1, _BATCH_ROWS, _BATCH_ROWS + 1):
         for make in kinds.values():
             run = [make(i) for i in range(length)]
-            assert_packed_round_trip(tmp_path, run)
+            assert_packed_round_trip(run)
             # Runs of this length behind and between runs of other kinds.
             others = [record for other in kinds.values() if other is not make
                       for record in (other(-1), other(-2))]
-            assert_packed_round_trip(tmp_path, others[:3] + run + others[3:] + run)
+            assert_packed_round_trip(others[:3] + run + others[3:] + run)
     makers = list(kinds.values())
     changing = [makers[i % len(makers)](i) for i in range(2 * _BATCH_ROWS + 3)]
-    assert_packed_round_trip(tmp_path, changing)
+    assert_packed_round_trip(changing)
 
 
 def test_packed_midpoint_rows_are_small():

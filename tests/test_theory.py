@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Steps
+from conftest import Steps, diag_problem
 
 from ellipcenter.quadratic import (
     DenseOperator,
@@ -21,13 +21,6 @@ from ellipcenter.theory import (
     reference_minimum,
     write_check_results,
 )
-
-
-def diag_problem(entries, b=None):
-    entries = np.asarray(entries, dtype=float)
-    if b is None:
-        b = np.zeros(len(entries))
-    return QuadraticProblem(DiagonalOperator(entries), b)
 
 
 class TestKantorovich:
