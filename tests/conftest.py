@@ -38,6 +38,27 @@ def bits(value):
     return np.float64(value).tobytes()
 
 
+def two_step_chebyshev_rate(kappa):
+    """sigma = 1 / T2(z)^2, z = (kappa + 1) / (kappa - 1), T2(z) = 2 z^2 - 1:
+    the factor by which one center step, as two cg steps, shrinks f - f* at
+    least (Saad 2003, 6.11); 0 at kappa = 1, where one step lands on x*."""
+    if kappa == 1.0:
+        return 0.0
+    z = (kappa + 1.0) / (kappa - 1.0)
+    return 1.0 / (2.0 * z * z - 1.0) ** 2
+
+
+def steps_to_tolerance(kappa, epsilon, rate):
+    """Steps that suffice to cut ||g|| by ``epsilon`` at condition ``kappa``
+    when each step shrinks f - f* by ``rate`` at least.
+
+    Since 2 lambda_min (f - f*) <= ||g||^2 <= 2 lambda_max (f - f*), after k
+    steps ||g_k||^2 <= kappa rate^k ||g_1||^2, which is at most
+    epsilon^2 ||g_1||^2 once k >= ln(kappa / epsilon^2) / -ln(rate).
+    """
+    return math.ceil(math.log(kappa / epsilon**2) / -math.log(rate))
+
+
 class SplitMix64:
     """The documented splitmix64 recurrence, one draw at a time: the oracle
     that the library's closed-form draws are checked against."""

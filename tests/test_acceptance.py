@@ -5,13 +5,12 @@ criteria" section of the terminal summary, so they are visible under any
 pytest invocation.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, steps_to_tolerance
 
 from ellipcenter.baselines import wolfe_search  # noqa: F401  (import sanity)
 from ellipcenter.bench import BenchConfig, run_benchmark
@@ -258,13 +257,10 @@ def _center_step_bound(kappa, epsilon):
     The center minimizes f on x + span{g, Ag}, a plane that holds the point
     two exact-line-search gradient steps reach from x.  By Kantorovich each
     such step shrinks f - f* by rho = ((kappa-1)/(kappa+1))^2, so one center
-    step shrinks it by at least rho^2.  Since 2 lambda_min (f - f*) <= ||g||^2
-    <= 2 lambda_max (f - f*), after k steps ||g_k||^2 <= kappa rho^(2k)
-    ||g_1||^2, which is at most epsilon^2 ||g_1||^2 once
-    k >= ln(kappa / epsilon^2) / (-2 ln rho).
+    step shrinks it by at least rho^2.
     """
     rho = ((kappa - 1.0) / (kappa + 1.0)) ** 2
-    return math.ceil(math.log(kappa / epsilon**2) / (-2.0 * math.log(rho)))
+    return steps_to_tolerance(kappa, epsilon, rho**2)
 
 
 def test_criterion_06_diagonal_iteration_pattern(diagonal_benchmark):

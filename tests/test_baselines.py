@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (LIVE_N, LIVE_VECTORS, CountingOperator, IndefiniteOperator, Steps,
-                      diag_problem)
+                      diag_problem, steps_to_tolerance, two_step_chebyshev_rate)
 
 import ellipcenter.baselines as baselines
 from ellipcenter.baselines import (
@@ -504,11 +505,11 @@ def test_gradient_wolfe_reaches_tolerance(instance):
     assert result.terminated_by is Termination.GRADIENT_TOLERANCE
 
 
-def matvecs_to_tolerance(solve, problem):
+def matvecs_to_tolerance(solve, problem, options=SolveOptions()):
     # Matvecs a solve from x1 = 0 makes to reach the default 1e-8 relative
     # tolerance: the paper's cost model.
     op = CountingOperator(problem.A)
-    result = solve(QuadraticProblem(op, problem.b, problem.c), np.zeros(problem.dim))
+    result = solve(QuadraticProblem(op, problem.b, problem.c), np.zeros(problem.dim), options)
     assert result.terminated_by is Termination.GRADIENT_TOLERANCE
     return op.calls
 
@@ -516,10 +517,27 @@ def matvecs_to_tolerance(solve, problem):
 def test_me_costs_no_more_matvecs_than_grad():
     # me makes two matvecs a step to grad's one, and takes about a quarter
     # of its steps: 202,779 matvecs against 405,835.
+    #
+    # The same me run meets the whole-run two-step Chebyshev bound.  As two
+    # cg steps, a center step shrinks f - f* by sigma = 1/T2(z)^2 at least,
+    # so K2 = steps_to_tolerance(kappa, epsilon, sigma) center steps reach
+    # the tolerance: 148,948 at kappa = 5e4, against me's 100,385 steps.
+    # A midpoint step is one exact-line-search step and promises only
+    # ((kappa-1)/(kappa+1))^2, so the bound needs every step on the center
+    # branch; this instance takes 0 midpoint steps.
     p = generate(InstanceSpec(InstanceFamily.DIAGONAL_ILL_CONDITIONED, 500, 1))
-    assert matvecs_to_tolerance(me_solve, p) <= matvecs_to_tolerance(
-        gradient_optimal_step_solve, p
-    )
+    branches = Counter()
+
+    def count(x, g, record):
+        branches[record.branch] += 1
+
+    me_matvecs = matvecs_to_tolerance(me_solve, p, SolveOptions(observer=count))
+    assert me_matvecs <= matvecs_to_tolerance(gradient_optimal_step_solve, p)
+    bounds = p.A.eigen_bounds()
+    kappa = bounds.lambda_max / bounds.lambda_min
+    k2 = steps_to_tolerance(kappa, SolveOptions.epsilon, two_step_chebyshev_rate(kappa))
+    assert branches[Branch.MIDPOINT] == 0
+    assert sum(branches.values()) <= k2
 
 
 def test_me_matvecs_between_cg_and_grad_on_uniform_spectrum():

@@ -20,6 +20,7 @@ from conftest import (
     reference_line_oracle,
     reference_wolfe_search,
     splitmix_instance,
+    two_step_chebyshev_rate,
 )
 
 import ellipcenter.baselines as baselines
@@ -158,12 +159,7 @@ def test_center_step_meets_two_step_chebyshev_bound(case):
         return 0.5 * p.a_inner(w - x_star, w - x_star)
 
     bounds = p.A.eigen_bounds()
-    kappa = bounds.lambda_max / bounds.lambda_min
-    if kappa == 1.0:
-        rate = 0.0  # T2(z) is infinite: one step lands on x*
-    else:
-        z = (kappa + 1.0) / (kappa - 1.0)
-        rate = 1.0 / (2.0 * z * z - 1.0) ** 2
+    rate = two_step_chebyshev_rate(bounds.lambda_max / bounds.lambda_min)
     # The center solves the Gram system of g_x and g_y to about
     # u = eps m11 m22 / delta of its size, so the ratio may pass the rate by
     # about u^2: by up to 1.4e-9 where g_y is near parallel to g_x.  Of

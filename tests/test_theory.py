@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import Steps, diag_problem
+from conftest import Steps, diag_problem, two_step_chebyshev_rate
 
+from ellipcenter.baselines import gradient_optimal_step_solve
 from ellipcenter.quadratic import (
     DenseOperator,
     DiagonalOperator,
@@ -267,6 +268,42 @@ class TestReferenceMinimum:
         p = QuadraticProblem(DenseOperator(np.eye(n)), np.ones(n))
         with pytest.raises(ValueError, match="n <= 2000"):
             reference_minimum(p)
+
+
+def settled_rate(solve, problem, kappa):
+    """The mean per-step energy ratio E_k+1 / E_k of a solve from x1 = 0 over
+    the steps with E / E_1 in [1e-10, 1e-3], where f - f* has digits to
+    spare.  The solve runs until E < 1e-14 E_1: at the gradient tolerance
+    epsilon relative, E / E_1 <= kappa epsilon^2."""
+    f_values = []
+    solve(problem, np.zeros(problem.dim),
+          SolveOptions(epsilon=math.sqrt(1e-14 / kappa),
+                       observer=lambda x, g, record: f_values.append(record.f_value)))
+    _, f_star = reference_minimum(problem)
+    energy = np.array(f_values) - f_star  # falls every step, so the window is one run
+    settled = energy[(energy >= 1e-10 * energy[0]) & (energy <= 1e-3 * energy[0])]
+    return float(np.mean(settled[1:] / settled[:-1]))
+
+
+def test_settled_rates_are_the_worst_case_rates():
+    # On a spread spectrum me runs at the two-step Chebyshev rate sigma, as
+    # grad runs at its Kantorovich rate rho (Akaike 1959), so grad/me steps
+    # approach ln(sigma) / ln(rho), about 4.  Measured here: me 1.0087 and
+    # grad 1.0006 in (1 - r) / (1 - worst-case rate).  Over rng seeds 0-19 me
+    # read 1.0015-1.080; grad read 1.0001-1.0094 on 18 and 1.030 and 1.039
+    # on seeds 1 and 15, which have not settled at E / E_1 = 1e-3 (from 1e-6
+    # down they read 1.0003 and 1.0024).
+    kappa, n = 1e3, 200
+    rng = np.random.default_rng(0)
+    p = diag_problem(np.concatenate(([1.0], rng.uniform(1.0, kappa, n - 2), [kappa])),
+                     b=rng.standard_normal(n))
+    sigma = two_step_chebyshev_rate(kappa)
+    rho = ((kappa - 1.0) / (kappa + 1.0)) ** 2
+    me = (1.0 - settled_rate(me_solve, p, kappa)) / (1.0 - sigma)
+    grad = (1.0 - settled_rate(gradient_optimal_step_solve, p, kappa)) / (1.0 - rho)
+    print(f"settled (1 - r) / (1 - worst case): me {me:.4f}, grad {grad:.4f}")
+    assert abs(me - 1.0) <= 0.10, me
+    assert abs(grad - 1.0) <= 0.01, grad
 
 
 def test_write_check_results(tmp_path):
